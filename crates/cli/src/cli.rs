@@ -155,9 +155,6 @@ USAGE:
                                          typings are byte-identical to sequential at any
                                          value (under budgets, verdicts agree on every
                                          pair both runs answered)
-      --fixed-shard                      use the legacy fixed-shard wave scheduler for
-                                         --jobs > 1 (the pre-stealing baseline; mainly
-                                         for A/B benchmarking)
       --delta FILE                       type the graph, apply the delta file ('+'/'-'
                                          op lines of Turtle statements, with @prefix
                                          lines), then incrementally revalidate only the
@@ -260,16 +257,8 @@ impl Flags {
 }
 
 fn parse_flags<'a>(it: impl Iterator<Item = &'a str>) -> Result<Flags, String> {
-    const SWITCHES: [&str; 9] = [
-        "open",
-        "explain",
-        "stats",
-        "no-sorbe",
-        "no-dfa",
-        "trace",
-        "lenient",
-        "prune",
-        "fixed-shard",
+    const SWITCHES: [&str; 8] = [
+        "open", "explain", "stats", "no-sorbe", "no-dfa", "trace", "lenient", "prune",
     ];
     let mut it = it.peekable();
     let mut flags = Flags {
@@ -619,7 +608,6 @@ fn validate_shacl(flags: &Flags) -> Result<String, CliError> {
         no_sorbe: flags.has("no-sorbe"),
         no_dfa: flags.has("no-dfa"),
         prune: flags.has("prune"),
-        fixed_shard: flags.has("fixed-shard"),
         budget: budget_from_flags(flags)?,
         metrics: report,
         ..EngineConfig::default()
@@ -677,8 +665,7 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                 no_sorbe: flags.has("no-sorbe"),
                 no_dfa: flags.has("no-dfa"),
                 prune: flags.has("prune"),
-                fixed_shard: flags.has("fixed-shard"),
-                budget,
+                        budget,
                 // A JSON report always carries the metrics block.
                 metrics: report,
                 // Dependency recording is only paid for when a delta run
@@ -1401,8 +1388,16 @@ fn parse_cmd(flags: &Flags) -> Result<String, String> {
 mod tests {
     use super::*;
 
+    /// Writes `contents` to a fresh file ending in `name` and returns its
+    /// path. Every call gets its own file (call counter, inside a
+    /// per-process directory), so tests running on concurrent threads
+    /// never rewrite a file another test is reading.
     fn write_tmp(name: &str, contents: &str) -> String {
-        let path = std::env::temp_dir().join(format!("shapex-cli-test-{name}"));
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("shapex-cli-test-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{call}-{name}"));
         fs::write(&path, contents).unwrap();
         path.to_string_lossy().into_owned()
     }

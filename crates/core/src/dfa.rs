@@ -26,9 +26,9 @@
 //! exhaustion points); only the lookup structure differs.
 //!
 //! Sharing across [`type_all_par`](crate::Engine::type_all_par) shards
-//! mirrors the memo promotion protocol: workers fork a read-mostly
-//! snapshot of the coordinator's tables, log their fills, and the
-//! coordinator merges prefix-valid transitions at each wave boundary and
+//! goes through fill logs: workers fork a read-mostly snapshot of the
+//! coordinator's tables, log their fills, and the
+//! coordinator merges prefix-valid transitions at each epoch boundary and
 //! re-seeds them to the other workers (class ids are translated through
 //! their masked bitsets, which are engine-independent).
 //!
@@ -85,7 +85,7 @@ pub struct ShapeDfa {
     table: Vec<u32>,
     /// Number of filled cells (the table's arena-unit charge).
     filled: usize,
-    /// Fill log drained at wave boundaries; only populated on parallel
+    /// Fill log drained at epoch boundaries; only populated on parallel
     /// workers (see [`ShapeDfa::fork`]).
     log: Vec<Transition>,
     log_enabled: bool,
@@ -229,7 +229,7 @@ impl ShapeDfa {
         fresh
     }
 
-    /// Drains the fill log (wave-boundary merge).
+    /// Drains the fill log (epoch-boundary merge).
     pub fn take_log(&mut self) -> Vec<Transition> {
         std::mem::take(&mut self.log)
     }

@@ -17,6 +17,7 @@
 //!   typing (sound because shape references are never negated, so
 //!   matching is monotone in the assumption set).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
@@ -90,13 +91,6 @@ pub struct EngineConfig {
     /// typings are byte-identical), only derivative work on dead branches
     /// disappears.
     pub prune: bool,
-    /// Use the legacy fixed-shard wave scheduler for
-    /// [`Engine::type_all_par`] instead of the work-stealing epoch
-    /// scheduler (see [`crate::sched`] and DESIGN.md §5g). The two paths
-    /// produce byte-identical typings; this flag exists as the baseline
-    /// arm of `BENCH_parallel.json` and for the differential tests —
-    /// surfaced as `--fixed-shard` on the CLI, mirroring `--no-dfa`.
-    pub fixed_shard: bool,
 }
 
 /// A validation error at the API boundary.
@@ -251,6 +245,30 @@ impl Trace {
 struct ProfileId(u32);
 
 type Pair = (ShapeId, TermId);
+
+/// One publication-log entry of [`Engine::type_all_par`]: an
+/// unconditional verdict, its failure diagnostic, and the worker that
+/// published it (credited in [`ShardMetrics::promoted`] when the entry is
+/// the coordinator's first sight of the pair).
+#[derive(Debug, Clone)]
+struct Published {
+    pair: Pair,
+    proven: bool,
+    failure: Option<Failure>,
+    worker: usize,
+}
+
+/// The settled part of an engine's caches (see [`Engine::settled`]),
+/// each list sorted.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Settled {
+    /// Every unconditional `(shape, node)` verdict: `true` = proven.
+    pub verdicts: Vec<(ShapeId, TermId, bool)>,
+    /// The failure diagnostic recorded for each failed pair.
+    pub failures: Vec<(ShapeId, TermId, Failure)>,
+    /// Every memoised value-constraint result per `(arc, object term)`.
+    pub value_sat: Vec<(ArcId, TermId, bool)>,
+}
 
 /// Triple key `(shape, predicate, other-end, inverse?)` for the per-run
 /// profile cache; the value carries the assumptions used when computing it.
@@ -437,6 +455,17 @@ pub struct Engine {
     /// can publish it to its peers between queries. `None` (the default)
     /// keeps the hot path to a single discriminant test.
     publish: Option<Vec<Pair>>,
+    /// Failed pairs whose failure diagnostic was recorded while the
+    /// evaluation leaned on an open coinductive assumption. Which triple
+    /// such a diagnostic names depends on what was still assumed at the
+    /// time — evaluation order — so [`Engine::settle_diagnostics`]
+    /// re-derives it from settled verdicts after a full typing. Always
+    /// empty for reference-acyclic schemas.
+    provisional: FxHashSet<Pair>,
+    /// `Some` while [`Engine::settle_diagnostics`] re-evaluates a
+    /// neighbourhood: reference checks then read settled verdicts only,
+    /// and the first reference without one is parked here.
+    settling: Option<Option<Pair>>,
 }
 
 impl Engine {
@@ -501,6 +530,8 @@ impl Engine {
             ref_heads,
             executor: None,
             publish: None,
+            provisional: FxHashSet::default(),
+            settling: None,
         })
     }
 
@@ -539,6 +570,41 @@ impl Engine {
         s.expr_pool_size = self.schema.pool.len();
         s.peak_arena_nodes = s.peak_arena_nodes.max(self.schema.pool.len());
         s
+    }
+
+    /// A sorted snapshot of the settled caches: unconditional verdicts,
+    /// their failure diagnostics, and value-constraint results. All three
+    /// are properties of the graph alone, so a [`Engine::type_all_par`]
+    /// run must leave the same snapshot as [`Engine::type_all`] — the
+    /// check that every verdict a worker settled reached this engine.
+    pub fn settled(&self) -> Settled {
+        let mut verdicts: Vec<_> = self
+            .memo
+            .iter()
+            .filter_map(|(&(shape, node), state)| match state {
+                MemoState::Proven => Some((shape, node, true)),
+                MemoState::Failed => Some((shape, node, false)),
+                MemoState::Conditional(_) => None,
+            })
+            .collect();
+        verdicts.sort_unstable();
+        let mut failures: Vec<_> = self
+            .failures
+            .iter()
+            .map(|(&(shape, node), f)| (shape, node, f.clone()))
+            .collect();
+        failures.sort_unstable_by_key(|&(shape, node, _)| (shape, node));
+        let mut value_sat: Vec<_> = self
+            .value_sat
+            .iter()
+            .map(|(&(arc, term), &sat)| (arc, term, sat))
+            .collect();
+        value_sat.sort_unstable();
+        Settled {
+            verdicts,
+            failures,
+            value_sat,
+        }
     }
 
     /// The fine-grained observability counters, when collection is
@@ -592,6 +658,7 @@ impl Engine {
         self.dfa_filled = 0;
         self.begin_run();
         self.failures.clear();
+        self.provisional.clear();
         self.deps.clear();
         self.dep_stack.clear();
         self.stats = Stats::default();
@@ -919,6 +986,7 @@ impl Engine {
             .flat_map(|node| (0..self.schema.shapes.len()).map(move |i| (node, ShapeId(i as u32))))
             .collect();
         let results = self.check_many(graph, terms, &queries);
+        self.settle_diagnostics(graph, terms);
         let mut typing = Typing::new();
         for ((node, shape), result) in queries.into_iter().zip(results) {
             match result {
@@ -930,18 +998,9 @@ impl Engine {
         typing
     }
 
-    /// How many queries each worker takes per wave under the legacy
-    /// fixed-shard path ([`EngineConfig::fixed_shard`]). Small enough
-    /// that promoted answers circulate quickly on recursive schemas (a
-    /// worker benefits from pairs its peers proved last wave), large
-    /// enough to amortise dispatch and the merge.
-    const WAVE_CHUNK: usize = 64;
-
-    /// Queries per worker per scheduler *epoch* on the default
-    /// work-stealing path. Much larger than [`Engine::WAVE_CHUNK`]:
-    /// verdicts circulate continuously through the epoch publication log,
-    /// so the merge barrier no longer needs to be frequent — it only
-    /// settles counters, DFA fills, and the coordinator memo.
+    /// Queries per worker per scheduler *epoch*. Verdicts circulate
+    /// continuously through the publication log, so the epoch barrier
+    /// only settles counters, DFA fills, and the coordinator memo.
     const EPOCH_CHUNK: usize = 256;
 
     /// Queries per work-stealing batch — the steal granularity. Small
@@ -951,8 +1010,8 @@ impl Engine {
     const STEAL_BATCH: usize = 16;
 
     /// Parallel [`Engine::type_all`]: the same `subjects × shapes` query
-    /// list, partitioned into per-worker shards run on
-    /// [`std::thread::scope`] workers.
+    /// list, run in epochs by the work-stealing scheduler (DESIGN.md §5g)
+    /// on `jobs` workers.
     ///
     /// Soundness follows the paper's greatest-fixpoint semantics: each
     /// `(node, shape)` answer is a property of the graph alone, so workers
@@ -960,9 +1019,10 @@ impl Engine {
     /// memo / profile / derivative-memo shard seeded with a read-only
     /// snapshot of already **promoted unconditional** answers
     /// (`Proven`/`Failed`); conditional hypothesis state never crosses
-    /// threads. After each wave the workers' new unconditional results are
-    /// merged into this engine's memo and re-seeded to every worker. The
-    /// resulting [`Typing`] is deterministic and identical to the
+    /// threads. Newly unconditional verdicts travel through one
+    /// publication log: peers drain it mid-epoch, and this engine drains
+    /// it at each epoch boundary, so the boundary costs O(new verdicts).
+    /// The resulting [`Typing`] is deterministic and identical to the
     /// sequential [`Engine::type_all`] (under a budget, *which* pair trips
     /// first may differ — see `Typing::exhausted`).
     ///
@@ -986,38 +1046,29 @@ impl Engine {
         // restricted to that prefix.
         let fork_len = self.schema.pool.len();
         let mut workers: Vec<Engine> = (0..jobs).map(|_| self.fork_worker(&governor)).collect();
-        // Promotion log: pairs newly merged into `self.memo` since the
-        // workers were forked; `synced[w]` is worker w's high-water mark.
-        let mut log: Vec<Pair> = Vec::new();
-        let mut synced = vec![0usize; jobs];
-        // DFA transition log, mirroring the memo promotion protocol:
-        // prefix-valid transitions merged from worker fill logs, named as
-        // `(shape, coordinator class id, src, dst)` and re-seeded to the
-        // other workers at the next boundary (class ids are translated
-        // through their masked bitsets, which are engine-independent).
+        // DFA transition log: prefix-valid transitions merged from worker
+        // fill logs, named as `(shape, coordinator class id, src, dst)`
+        // and re-seeded to the other workers at the next boundary (class
+        // ids are translated through their masked bitsets, which are
+        // engine-independent). `dfa_synced[w]` is worker w's mark.
         let mut dfa_log: Vec<(ShapeId, u32, ExprId, ExprId)> = Vec::new();
         let mut dfa_synced = vec![0usize; jobs];
         let mut results: Vec<Option<Outcome>> = vec![None; queries.len()];
         let has_recursion = self.schema.has_recursion;
-        // Wave-boundary merge discipline: every worker counter is folded
+        // Epoch-boundary merge discipline: every worker counter is folded
         // into this engine exactly once, as the delta accumulated since
         // the previous boundary. `prev_stats`/`prev_metrics` are the
-        // per-worker snapshots the last boundary advanced to; re-seeding
-        // the promotion log never touches them, and workers left idle by
-        // a short wave contribute an empty delta instead of being lost.
+        // per-worker snapshots the last boundary advanced to; workers left
+        // idle by a short epoch contribute an empty delta.
         let mut prev_stats: Vec<Stats> = vec![Stats::default(); jobs];
         let mut prev_metrics: Vec<Metrics> = if self.metrics.is_some() {
             vec![Metrics::new(self.schema.shapes.len()); jobs]
         } else {
             Vec::new()
         };
-        // Scheduler selection (DESIGN.md §5g): work-stealing epochs by
-        // default, the legacy fixed-shard wave loop behind
-        // `EngineConfig::fixed_shard` (the benchmark baseline). Workers
-        // run on a shared executor when one is installed (the server's
-        // request pool), else on a transient pool for this call — either
-        // way threads are reused across every epoch of the run.
-        let stealing = !self.config.fixed_shard;
+        // Workers run on a shared executor when one is installed (the
+        // server's request pool), else on a transient pool for this call
+        // — either way threads are reused across every epoch of the run.
         let shared_exec = self.executor.clone();
         let transient_exec;
         let exec: &Executor = match &shared_exec {
@@ -1033,20 +1084,17 @@ impl Engine {
         // big lazily-committed stack; a foreign caller joins in only for
         // recursion-free schemas.
         let participate = !has_recursion || exec.on_pool_thread();
-        // Epoch publication log: unconditional verdicts stream between
-        // workers mid-epoch; each worker's mark survives across epochs.
-        let publog: PubLog<(Pair, Option<Failure>, bool)> = PubLog::new();
+        // The publication log is the only promotion channel: workers
+        // drain it mid-epoch, this engine at each boundary. Every mark —
+        // the workers' and `coordinator_mark` — survives across epochs.
+        let publog: PubLog<Published> = PubLog::new();
         let mut pub_marks = vec![0usize; jobs];
+        let mut coordinator_mark = 0usize;
         // Pairs promoted *during this run*, to split "answered from the
         // pre-run warm memo" from "skipped because an earlier epoch
         // already merged the answer" in the wave metrics.
         let mut run_promoted: FxHashSet<Pair> = FxHashSet::default();
-        let window = jobs
-            * if stealing {
-                Self::EPOCH_CHUNK
-            } else {
-                Self::WAVE_CHUNK
-            };
+        let window = jobs * Self::EPOCH_CHUNK;
 
         let mut next = 0;
         while next < queries.len() {
@@ -1084,21 +1132,6 @@ impl Engine {
                 continue;
             }
             let wave_start = self.metrics.is_some().then(std::time::Instant::now);
-            // Re-seed each worker's snapshot with pairs promoted since it
-            // last synced (merge results from its peers).
-            let mut reseeded_pairs = 0u64;
-            for (worker, mark) in workers.iter_mut().zip(synced.iter_mut()) {
-                for &pair in &log[*mark..] {
-                    if let Some(state) = self.memo.get(&pair) {
-                        worker.memo.insert(pair, state.clone());
-                    }
-                    if let Some(f) = self.failures.get(&pair) {
-                        worker.failures.insert(pair, f.clone());
-                    }
-                    reseeded_pairs += 1;
-                }
-                *mark = log.len();
-            }
             // Re-seed derivative transitions learned by peers: the worker
             // interns the class by its bits and the states by their
             // (prefix-shared) expression ids, then fills the cell without
@@ -1119,66 +1152,48 @@ impl Engine {
                 }
             }
             // Contiguous shares preserve the sequential visit order within
-            // each worker (memo locality on reference chains); under
-            // stealing each share is further cut into batches so idle
-            // peers can take a loaded worker's tail.
+            // each worker (memo locality on reference chains); each share
+            // is further cut into batches so idle peers can take a loaded
+            // worker's tail.
             let per = pending.len().div_ceil(jobs);
             let timed = self.metrics.is_some();
             let mut outs: Vec<Vec<(usize, Outcome)>> = (0..jobs).map(|_| Vec::new()).collect();
             let mut counters = vec![WorkerCounters::default(); jobs];
-            if stealing {
-                let deques: Vec<BatchQueue> = (0..jobs)
-                    .map(|w| {
-                        let lo = (w * per).min(pending.len());
-                        let hi = ((w + 1) * per).min(pending.len());
-                        let batches: Vec<Batch> = (lo..hi)
-                            .step_by(Self::STEAL_BATCH)
-                            .map(|s| Batch {
-                                start: s as u32,
-                                len: Self::STEAL_BATCH.min(hi - s) as u32,
-                            })
-                            .collect();
-                        BatchQueue::new(&batches)
-                    })
-                    .collect();
-                let deques = &deques;
-                let publog = &publog;
-                let pending = &pending[..];
-                let queries = &queries[..];
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = workers
-                    .iter_mut()
-                    .zip(outs.iter_mut())
-                    .zip(counters.iter_mut())
-                    .zip(pub_marks.iter_mut())
-                    .enumerate()
-                    .map(|(w, (((worker, out), ctr), mark))| {
-                        let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                            worker.steal_loop(
-                                graph, terms, w, jobs, queries, pending, deques, publog, mark, out,
-                                ctr, timed,
-                            );
-                        });
-                        task
-                    })
-                    .collect();
-                exec.run_tasks(tasks, participate);
-            } else {
-                let chunks: Vec<&[usize]> = pending.chunks(per).collect();
-                let queries = &queries[..];
-                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = workers
-                    .iter_mut()
-                    .zip(outs.iter_mut())
-                    .zip(counters.iter_mut())
-                    .zip(&chunks)
-                    .map(|(((worker, out), ctr), chunk)| {
-                        let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                            worker.run_shard(graph, terms, queries, chunk, out, ctr, timed);
-                        });
-                        task
-                    })
-                    .collect();
-                exec.run_tasks(tasks, participate);
-            }
+            let deques: Vec<BatchQueue> = (0..jobs)
+                .map(|w| {
+                    let lo = (w * per).min(pending.len());
+                    let hi = ((w + 1) * per).min(pending.len());
+                    let batches: Vec<Batch> = (lo..hi)
+                        .step_by(Self::STEAL_BATCH)
+                        .map(|s| Batch {
+                            start: s as u32,
+                            len: Self::STEAL_BATCH.min(hi - s) as u32,
+                        })
+                        .collect();
+                    BatchQueue::new(&batches)
+                })
+                .collect();
+            let deques = &deques;
+            let publog = &publog;
+            let pending = &pending[..];
+            let queries = &queries[..];
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = workers
+                .iter_mut()
+                .zip(outs.iter_mut())
+                .zip(counters.iter_mut())
+                .zip(pub_marks.iter_mut())
+                .enumerate()
+                .map(|(w, (((worker, out), ctr), mark))| {
+                    let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
+                        worker.steal_loop(
+                            graph, terms, w, jobs, queries, pending, deques, publog, mark, out,
+                            ctr, timed,
+                        );
+                    });
+                    task
+                })
+                .collect();
+            exec.run_tasks(tasks, participate);
             // Deterministic commit sequencer: whatever order workers
             // finished in, verdicts land in their query-index slot and the
             // final typing is assembled in query order below.
@@ -1187,10 +1202,25 @@ impl Engine {
                     results[qi] = Some(outcome);
                 }
             }
-            // Wave boundary: merge every shard exactly once — promoted
-            // unconditional answers into the memo, DFA fill logs into the
-            // shared tables, counter deltas into the run totals.
-            let log_mark = log.len();
+            // Epoch boundary. Promote the verdicts published since the
+            // last boundary — first publication wins, crediting its
+            // worker — then merge DFA fill logs into the shared tables and
+            // counter deltas into the run totals.
+            let mut promoted = vec![0u64; jobs];
+            publog.drain_from(&mut coordinator_mark, |v| {
+                if let Entry::Vacant(slot) = self.memo.entry(v.pair) {
+                    slot.insert(if v.proven {
+                        MemoState::Proven
+                    } else {
+                        MemoState::Failed
+                    });
+                    if let Some(f) = &v.failure {
+                        self.failures.insert(v.pair, f.clone());
+                    }
+                    run_promoted.insert(v.pair);
+                    promoted[v.worker] += 1;
+                }
+            });
             let mut shards: Vec<ShardMetrics> = Vec::new();
             for w in 0..workers.len() {
                 if self.use_dfa() {
@@ -1216,7 +1246,6 @@ impl Engine {
                     }
                 }
                 let worker = &workers[w];
-                let promoted = self.absorb_worker(worker, &mut log);
                 let now = worker.stats;
                 let prev = &mut prev_stats[w];
                 if self.metrics.is_some() {
@@ -1231,7 +1260,7 @@ impl Engine {
                         drained: c.drained,
                         busy_us: c.busy_us,
                         idle_us: c.idle_us,
-                        promoted: promoted as u64,
+                        promoted: promoted[w],
                         budget_steps: now.budget_steps - prev.budget_steps,
                         derivative_steps: now.derivative_steps - prev.derivative_steps,
                     });
@@ -1241,9 +1270,6 @@ impl Engine {
                     self.stats.peak_arena_nodes.max(worker.schema.pool.len());
                 *prev = now;
             }
-            // Everything the epoch merged is "merged", not "warm memo",
-            // for subsequent windows' accounting.
-            run_promoted.extend(log[log_mark..].iter().copied());
             if let Some(m) = &mut self.metrics {
                 for (w, worker) in workers.iter().enumerate() {
                     if let Some(wm) = worker.metrics.as_deref() {
@@ -1256,24 +1282,29 @@ impl Engine {
                     memo_answered,
                     merged_answered,
                     dispatched: pending.len() as u64,
-                    reseeded_pairs,
                     steals: counters.iter().map(|c| c.steals).sum(),
                     steal_attempts: counters.iter().map(|c| c.steal_attempts).sum(),
                     published: counters.iter().map(|c| c.published).sum(),
                     elapsed_us: wave_start
                         .map_or(0, |t| t.elapsed().as_micros().min(u64::MAX as u128) as u64),
                     shards,
+                    ..WaveMetrics::default()
                 });
             }
         }
-        // Fold the workers' dependency recordings into the shared index so
-        // a later `revalidate` sees edges for pairs proven on any shard.
-        if self.config.incremental {
-            for worker in &mut workers {
-                let worker_deps = std::mem::take(&mut worker.deps);
-                self.deps.absorb(worker_deps);
+        // Run end: fold in the term-pure caches, the provisional
+        // diagnostics and the dependency recordings once, so a later query
+        // or `revalidate` sees what any shard learned.
+        for worker in &mut workers {
+            for (key, sat) in std::mem::take(&mut worker.value_sat) {
+                self.value_sat.entry(key).or_insert(sat);
+            }
+            self.provisional.extend(worker.provisional.drain());
+            if self.config.incremental {
+                self.deps.absorb(std::mem::take(&mut worker.deps));
             }
         }
+        self.settle_diagnostics(graph, terms);
         let mut typing = Typing::new();
         for (&(node, shape), result) in queries.iter().zip(results) {
             match result.expect("every query answered") {
@@ -1283,34 +1314,6 @@ impl Engine {
             }
         }
         typing
-    }
-
-    /// The fixed-shard worker body: one contiguous chunk of pending
-    /// queries, run in order (the legacy wave scheduler's inner loop).
-    #[allow(clippy::too_many_arguments)]
-    fn run_shard(
-        &mut self,
-        graph: &Graph,
-        terms: &TermPool,
-        queries: &[(TermId, ShapeId)],
-        chunk: &[usize],
-        out: &mut Vec<(usize, Outcome)>,
-        ctr: &mut WorkerCounters,
-        timed: bool,
-    ) {
-        let start = timed.then(std::time::Instant::now);
-        for &qi in chunk {
-            let (node, shape) = queries[qi];
-            let outcome = match self.memoised_answer(node, shape) {
-                Some(answer) => answer,
-                None => self.gfp_run(graph, terms, node, shape),
-            };
-            out.push((qi, outcome));
-            ctr.executed += 1;
-        }
-        if let Some(t) = start {
-            ctr.busy_us += t.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        }
     }
 
     /// The work-stealing worker body for one epoch (DESIGN.md §5g).
@@ -1334,7 +1337,7 @@ impl Engine {
         queries: &[(TermId, ShapeId)],
         pending: &[usize],
         deques: &[BatchQueue],
-        publog: &PubLog<(Pair, Option<Failure>, bool)>,
+        publog: &PubLog<Published>,
         mark: &mut usize,
         out: &mut Vec<(usize, Outcome)>,
         ctr: &mut WorkerCounters,
@@ -1375,14 +1378,14 @@ impl Engine {
             };
             // Merge peers' published verdicts before starting the batch:
             // free answers for everything that follows.
-            ctr.drained += publog.drain_from(mark, |(pair, failure, proven)| {
-                self.memo.entry(*pair).or_insert(if *proven {
+            ctr.drained += publog.drain_from(mark, |v| {
+                self.memo.entry(v.pair).or_insert(if v.proven {
                     MemoState::Proven
                 } else {
                     MemoState::Failed
                 });
-                if let Some(f) = failure {
-                    self.failures.entry(*pair).or_insert_with(|| f.clone());
+                if let Some(f) = &v.failure {
+                    self.failures.entry(v.pair).or_insert_with(|| f.clone());
                 }
             }) as u64;
             let busy_start = timed.then(std::time::Instant::now);
@@ -1398,7 +1401,7 @@ impl Engine {
                 if stolen {
                     ctr.stolen += 1;
                 }
-                self.flush_published(publog, ctr);
+                self.flush_published(publog, w, ctr);
             }
             if let Some(t) = busy_start {
                 ctr.busy_us += t.elapsed().as_micros().min(u64::MAX as u128) as u64;
@@ -1413,19 +1416,33 @@ impl Engine {
     /// never rolled back), anything not unconditional is skipped.
     fn flush_published(
         &mut self,
-        publog: &PubLog<(Pair, Option<Failure>, bool)>,
+        publog: &PubLog<Published>,
+        worker: usize,
         ctr: &mut WorkerCounters,
     ) {
         let buf = match &mut self.publish {
             Some(buf) if !buf.is_empty() => std::mem::take(buf),
             _ => return,
         };
-        let entries: Vec<(Pair, Option<Failure>, bool)> = buf
+        let entries: Vec<Published> = buf
             .iter()
-            .filter_map(|&pair| match self.memo.get(&pair) {
-                Some(MemoState::Proven) => Some((pair, None, true)),
-                Some(MemoState::Failed) => Some((pair, self.failures.get(&pair).cloned(), false)),
-                _ => None,
+            .filter_map(|&pair| {
+                let proven = match self.memo.get(&pair) {
+                    Some(MemoState::Proven) => true,
+                    Some(MemoState::Failed) => false,
+                    _ => return None,
+                };
+                let failure = if proven {
+                    None
+                } else {
+                    self.failures.get(&pair).cloned()
+                };
+                Some(Published {
+                    pair,
+                    proven,
+                    failure,
+                    worker,
+                })
             })
             .collect();
         ctr.published += publog.publish(entries) as u64;
@@ -1758,6 +1775,7 @@ impl Engine {
             }
             self.conditional.remove(&(shape, node));
             self.failures.remove(&(shape, node));
+            self.provisional.remove(&(shape, node));
             dirty_nodes.insert(node);
         }
         // Stable profile entries embed reference-arc answers about their
@@ -1790,7 +1808,7 @@ impl Engine {
     /// interned per engine and must not be shared. DFA tables are forked
     /// as a snapshot of the coordinator's: class/state ids stay private,
     /// but already-filled transitions carry over, and fresh fills are
-    /// logged so the wave-boundary merge can promote them engine-wide.
+    /// logged so the epoch-boundary merge can promote them engine-wide.
     fn fork_worker(&self, governor: &Arc<RunGovernor>) -> Engine {
         Engine {
             schema: self.schema.clone(),
@@ -1826,34 +1844,74 @@ impl Engine {
             ref_heads: self.ref_heads.clone(),
             executor: None,
             publish: None,
+            provisional: FxHashSet::default(),
+            settling: None,
         }
     }
 
-    /// Merges a worker's *unconditional* results back into this engine's
-    /// memo, recording newly learned pairs in `log` (the re-seed queue).
-    /// Conditional state never leaves a worker; between queries a worker
-    /// holds none anyway (the gfp driver promotes or drops it). Returns
-    /// how many previously unknown pairs were merged.
-    fn absorb_worker(&mut self, worker: &Engine, log: &mut Vec<Pair>) -> usize {
-        let mut promoted = 0;
-        for (&pair, state) in &worker.memo {
-            if !matches!(state, MemoState::Proven | MemoState::Failed) {
-                continue;
-            }
-            if self.memo.contains_key(&pair) {
-                continue;
-            }
-            self.memo.insert(pair, state.clone());
-            if let Some(f) = worker.failures.get(&pair) {
-                self.failures.insert(pair, f.clone());
-            }
-            log.push(pair);
-            promoted += 1;
+    /// Re-derives every provisional failure diagnostic from settled
+    /// verdicts, so that a full typing's diagnostics — like its verdicts —
+    /// are properties of the graph alone, identical at any `--jobs`.
+    ///
+    /// A failed pair's neighbourhood is evaluated again with every
+    /// reference answered by its settled verdict. A reference without one
+    /// (a non-subject pair dropped with a purged conditional) is settled
+    /// by its own query first, then the evaluation repeats; settling
+    /// queries can leave provisional diagnostics of their own, so passes
+    /// repeat until none is left. This is diagnostic bookkeeping, not
+    /// typing work: counters are left as they were. A pair whose
+    /// re-evaluation exhausts its budget keeps its current diagnostic and
+    /// stays provisional.
+    fn settle_diagnostics(&mut self, graph: &Graph, terms: &TermPool) {
+        if self.provisional.is_empty() {
+            return;
         }
-        for (&key, &sat) in &worker.value_sat {
-            self.value_sat.entry(key).or_insert(sat);
+        let stats = self.stats;
+        let metrics = self.metrics.clone();
+        let mut exhausted: FxHashSet<Pair> = FxHashSet::default();
+        loop {
+            let mut pending: Vec<Pair> = self
+                .provisional
+                .drain()
+                .filter(|pair| !exhausted.contains(pair))
+                .collect();
+            if pending.is_empty() {
+                break;
+            }
+            pending.sort_unstable();
+            for (shape, node) in pending {
+                if !matches!(self.memo.get(&(shape, node)), Some(MemoState::Failed)) {
+                    continue;
+                }
+                loop {
+                    self.begin_run();
+                    self.meter = self.fresh_meter();
+                    self.settling = Some(None);
+                    let result =
+                        self.match_neighbourhood(graph, terms, node, shape, &mut BTreeSet::new());
+                    match (result, self.settling.take().flatten()) {
+                        (_, Some((s, n))) => {
+                            if let Outcome::Exhausted(_) = self.check_id(graph, terms, n, s) {
+                                exhausted.insert((shape, node));
+                                break;
+                            }
+                        }
+                        (Ok(ok), None) => {
+                            debug_assert!(!ok, "a settled re-evaluation flipped a failed verdict");
+                            break;
+                        }
+                        (Err(_), None) => {
+                            exhausted.insert((shape, node));
+                            break;
+                        }
+                    }
+                }
+            }
         }
-        promoted
+        self.provisional = exhausted;
+        self.begin_run();
+        self.stats = stats;
+        self.metrics = metrics;
     }
 
     /// Discards run-scoped state before a (re)run: only the
@@ -1947,6 +2005,14 @@ impl Engine {
             }
             None => {}
         }
+        if let Some(unsettled) = &mut self.settling {
+            // Park the first unsettled reference and answer as an open
+            // assumption would: the caller settles it and evaluates again,
+            // and `deps` keeps the guess out of the stable profile cache.
+            unsettled.get_or_insert(pair);
+            deps.insert(pair);
+            return Ok(true);
+        }
         if self.in_progress.contains(&pair) {
             // Γ{n→l}: the coinductive assumption (Fig. 3).
             deps.insert(pair);
@@ -1990,6 +2056,9 @@ impl Engine {
             }
         });
         self.in_progress.remove(&pair);
+        if !ok && !local.is_empty() {
+            self.provisional.insert(pair);
+        }
         // A self-dependency is discharged by this very completion.
         local.remove(&pair);
         if ok {
@@ -3427,6 +3496,63 @@ mod tests {
             a.type_all(&ds.graph, &ds.pool),
             b.type_all_par(&ds.graph, &ds.pool, 1)
         );
+    }
+
+    #[test]
+    fn failure_diagnostics_do_not_depend_on_query_order() {
+        // On a cyclic network, which triple a failure names depends on
+        // what was still assumed when the pair was evaluated. Checking
+        // the nodes in reverse order first changes that; the settled
+        // diagnostics after a full typing must not change.
+        let w = shapex_workloads::person_network(
+            60,
+            shapex_workloads::Topology::Random { degree: 2 },
+            0.3,
+            5,
+        );
+        let schema = shexc::parse(&w.schema).unwrap();
+        let mut ds = w.dataset;
+        let mut forward = Engine::new(&schema, &mut ds.pool).unwrap();
+        let typing = forward.type_all(&ds.graph, &ds.pool);
+        let person = forward.shape_id(&ShapeLabel::new("Person")).unwrap();
+        let mut reverse = Engine::new(&schema, &mut ds.pool).unwrap();
+        let mut nodes: Vec<TermId> = ds.graph.subjects().collect();
+        nodes.reverse();
+        let queries: Vec<_> = nodes.iter().map(|&n| (n, person)).collect();
+        reverse.check_many(&ds.graph, &ds.pool, &queries);
+        assert!(
+            !reverse.provisional.is_empty(),
+            "the reverse order should leave assumption-dependent diagnostics"
+        );
+        assert_eq!(reverse.type_all(&ds.graph, &ds.pool), typing);
+        assert!(reverse.provisional.is_empty());
+        assert_eq!(reverse.settled(), forward.settled());
+    }
+
+    #[test]
+    fn settling_resolves_a_dropped_non_subject_reference() {
+        // (n, P) fails on `e:x 2` while (m, Q) — m is no subject, so no
+        // query of its own — is still assumed true through the cycle
+        // P → Q → P. Failing n purges the conditional (m, Q), so the
+        // settled diagnostic needs (m, Q) decided first; settled, it fails,
+        // and the diagnostic names the `e:p` triple (the first in order
+        // that fails) instead of whatever was reached under the
+        // assumption.
+        let schema = "PREFIX e: <http://e/>\n\
+                      <P> { e:p @<Q>, e:x [1] }\n\
+                      <Q> { ^e:p @<P> }";
+        let data = "@prefix e: <http://e/> . e:n e:p e:m ; e:x 2 .";
+        let (mut seq, ds) = setup(schema, data);
+        let typing = seq.type_all(&ds.graph, &ds.pool);
+        let n = ds.iri("http://e/n").unwrap();
+        let m = ds.iri("http://e/m").unwrap();
+        let p = seq.shape_id(&ShapeLabel::new("P")).unwrap();
+        let q = seq.shape_id(&ShapeLabel::new("Q")).unwrap();
+        assert!(!typing.has(n, p));
+        assert!(matches!(seq.memo.get(&(q, m)), Some(MemoState::Failed)));
+        let failure = seq.failures.get(&(p, n)).unwrap().render(&ds.pool);
+        assert!(failure.contains("http://e/m"), "{failure}");
+        assert!(seq.provisional.is_empty());
     }
 
     #[test]

@@ -122,8 +122,7 @@ pub struct ShardMetrics {
     /// Queries this worker executed in the epoch (its own share plus any
     /// it stole).
     pub queries: u64,
-    /// Queries executed from batches stolen off peers' deques (zero under
-    /// `--fixed-shard`).
+    /// Queries executed from batches stolen off peers' deques.
     pub stolen: u64,
     /// Successful steals (batches taken off a peer's deque).
     pub steals: u64,
@@ -140,8 +139,9 @@ pub struct ShardMetrics {
     pub busy_us: u64,
     /// Microseconds spent probing for work with an empty deque.
     pub idle_us: u64,
-    /// Newly learned unconditional `(shape, node)` pairs merged from this
-    /// shard at the boundary.
+    /// Unconditional `(shape, node)` verdicts this shard published that
+    /// were new to the coordinator when it drained the publication log at
+    /// the boundary (first publication of a pair wins).
     pub promoted: u64,
     /// Budget steps the shard spent during the wave.
     pub budget_steps: u64,
@@ -149,7 +149,7 @@ pub struct ShardMetrics {
     pub derivative_steps: u64,
 }
 
-/// One wave (fixed-shard) or epoch (work-stealing) of
+/// One scheduler epoch of
 /// [`Engine::type_all_par`](crate::Engine::type_all_par): dispatch sizes,
 /// wall-clock, and the per-shard merge record.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -167,15 +167,16 @@ pub struct WaveMetrics {
     pub merged_answered: u64,
     /// Queries actually dispatched to workers.
     pub dispatched: u64,
-    /// Successful steals across all workers in the epoch (zero under
-    /// `--fixed-shard`).
+    /// Successful steals across all workers in the epoch.
     pub steals: u64,
     /// Steal probes across all workers in the epoch.
     pub steal_attempts: u64,
     /// Verdicts published to the epoch's shared log across all workers.
     pub published: u64,
-    /// Promotion-log entries re-seeded into worker snapshots before
-    /// dispatch (sum over workers).
+    /// Promoted pairs copied into worker snapshots before dispatch (sum
+    /// over workers). Always 0 since the publication log became the only
+    /// promotion channel: workers drain it themselves, from marks that
+    /// persist across epochs. Kept so report consumers keep their schema.
     pub reseeded_pairs: u64,
     /// Wall-clock for the wave (dispatch through merge), microseconds.
     pub elapsed_us: u64,
@@ -472,7 +473,7 @@ mod tests {
         assert_eq!(total.per_shape[0].checks, 2);
         assert_eq!(total.per_shape[1].checks, 2);
         // Absorbing the same delta window twice would double-count; the
-        // engine's wave loop advances `prev` to `now` after every merge.
+        // engine's epoch loop advances `prev` to `now` after every merge.
         total.absorb_delta(&now, &now);
         assert_eq!(total.budget_steps, 50);
     }

@@ -321,10 +321,10 @@ impl Stats {
     }
 
     /// Folds in the delta a worker accumulated between the `prev` and
-    /// `now` snapshots — the wave-boundary merge primitive of
+    /// `now` snapshots — the epoch-boundary merge primitive of
     /// [`type_all_par`](crate::Engine::type_all_par). Monotone counters
     /// add the difference; high-water marks take the max of the absolute
-    /// value (they are levels, not rates). Calling this once per wave
+    /// value (they are levels, not rates). Calling this once per epoch
     /// with an advancing `prev` counts every increment exactly once.
     pub fn absorb_delta(&mut self, prev: &Stats, now: &Stats) {
         self.derivative_steps += now.derivative_steps - prev.derivative_steps;

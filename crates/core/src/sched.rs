@@ -11,11 +11,12 @@
 //!   both ends can be implemented as a single packed-`u64` CAS with no
 //!   `unsafe` and no owner/thief double-take race on the last element.
 //! * [`PubLog`] — the epoch publication log: workers append unconditional
-//!   verdicts continuously as they prove them, and every worker drains the
-//!   entries it has not yet seen at each batch boundary. This replaces the
-//!   old wave barrier as the channel through which answers circulate; the
-//!   *commit* of verdicts into the typing stays with the coordinator's
-//!   query-order sequencer, so publication order never affects output.
+//!   verdicts continuously as they prove them, every worker drains the
+//!   entries it has not yet seen at each batch boundary, and the
+//!   coordinator drains it at each epoch boundary. It is the only channel
+//!   through which answers circulate; the *commit* of verdicts into the
+//!   typing stays with the coordinator's query-order sequencer, so
+//!   publication order never affects output.
 //! * [`Executor`] — a shared thread pool with two-priority request queues
 //!   plus scoped fan-out ([`Executor::run_tasks`]) for intra-request
 //!   parallelism. Scope tasks are always preferred over queued requests:

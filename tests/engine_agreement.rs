@@ -640,7 +640,34 @@ proptest! {
         let mut ds = build_linked(&triples);
         let mut seq = Engine::new(&schema, &mut ds.pool).expect("compiles");
         let sequential = seq.type_all(&ds.graph, &ds.pool);
+        let settled = seq.settled();
         for jobs in [2usize, 4, 8] {
+            let mut par = Engine::new(&schema, &mut ds.pool).expect("compiles");
+            let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
+            prop_assert_eq!(
+                &sequential, &parallel,
+                "jobs={} over {:?}", jobs, triples
+            );
+            prop_assert_eq!(
+                &settled, &par.settled(),
+                "settled caches, jobs={} over {:?}", jobs, triples
+            );
+        }
+    }
+
+    /// The work-stealing epoch scheduler and the sequential `type_all`
+    /// produce byte-identical typings on recursive referencing schemas at
+    /// every worker count, including the odd one that leaves uneven
+    /// shares and steal victims.
+    #[test]
+    fn schedulers_agree_unbudgeted(
+        schema in arb_ref_schema(),
+        triples in arb_linked_graph()
+    ) {
+        let mut ds = build_linked(&triples);
+        let mut seq = Engine::new(&schema, &mut ds.pool).expect("compiles");
+        let sequential = seq.type_all(&ds.graph, &ds.pool);
+        for jobs in [2usize, 3, 4] {
             let mut par = Engine::new(&schema, &mut ds.pool).expect("compiles");
             let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
             prop_assert_eq!(
@@ -650,37 +677,10 @@ proptest! {
         }
     }
 
-    /// Both schedulers — fixed-shard waves and the work-stealing epoch
-    /// loop — produce byte-identical typings on recursive referencing
-    /// schemas, at every worker count. (The default-config arm of
-    /// `parallel_typing_matches_sequential` covers stealing; this pins the
-    /// A/B pair against each other and the sequential reference.)
-    #[test]
-    fn schedulers_agree_unbudgeted(
-        schema in arb_ref_schema(),
-        triples in arb_linked_graph()
-    ) {
-        let mut ds = build_linked(&triples);
-        let mut seq = Engine::new(&schema, &mut ds.pool).expect("compiles");
-        let sequential = seq.type_all(&ds.graph, &ds.pool);
-        for fixed_shard in [false, true] {
-            for jobs in [2usize, 4] {
-                let config = EngineConfig { fixed_shard, ..EngineConfig::default() };
-                let mut par = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
-                let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
-                prop_assert_eq!(
-                    &sequential, &parallel,
-                    "fixed_shard={} jobs={} over {:?}", fixed_shard, jobs, triples
-                );
-            }
-        }
-    }
-
     /// Under *joint* step + arena budgets, which pairs exhaust may differ
-    /// between schedulers (steal interleaving changes what the shared memo
-    /// holds when each query runs), but every pair answered by both the
-    /// sequential run and a parallel run must get the same verdict —
-    /// whichever scheduler and worker count produced it.
+    /// between the sequential and parallel runs (steal interleaving changes
+    /// what the shared memo holds when each query runs), but every pair
+    /// answered by both must get the same verdict, at every worker count.
     #[test]
     fn schedulers_agree_under_joint_budgets(
         schema in arb_ref_schema(),
@@ -695,27 +695,24 @@ proptest! {
         let sequential = seq.type_all(&ds.graph, &ds.pool);
         let ex_seq: std::collections::HashSet<_> =
             sequential.exhausted.iter().map(|&(n, s, _)| (n, s)).collect();
-        for fixed_shard in [false, true] {
-            for jobs in [2usize, 4] {
-                let config = EngineConfig { budget, fixed_shard, ..EngineConfig::default() };
-                let mut par = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
-                let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
-                let ex_par: std::collections::HashSet<_> =
-                    parallel.exhausted.iter().map(|&(n, s, _)| (n, s)).collect();
-                for node_iri in NODES {
-                    let node = ds.iri(node_iri).expect("interned");
-                    for label in ["S", "T"] {
-                        let shape = seq.shape_id(&label.into()).expect("shape exists");
-                        if ex_seq.contains(&(node, shape)) || ex_par.contains(&(node, shape)) {
-                            continue;
-                        }
-                        prop_assert_eq!(
-                            sequential.has(node, shape),
-                            parallel.has(node, shape),
-                            "fixed_shard={} jobs={}: verdicts diverge on {} @{} over {:?}",
-                            fixed_shard, jobs, node_iri, label, triples
-                        );
+        for jobs in [2usize, 3, 4] {
+            let mut par = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
+            let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
+            let ex_par: std::collections::HashSet<_> =
+                parallel.exhausted.iter().map(|&(n, s, _)| (n, s)).collect();
+            for node_iri in NODES {
+                let node = ds.iri(node_iri).expect("interned");
+                for label in ["S", "T"] {
+                    let shape = seq.shape_id(&label.into()).expect("shape exists");
+                    if ex_seq.contains(&(node, shape)) || ex_par.contains(&(node, shape)) {
+                        continue;
                     }
+                    prop_assert_eq!(
+                        sequential.has(node, shape),
+                        parallel.has(node, shape),
+                        "jobs={}: verdicts diverge on {} @{} over {:?}",
+                        jobs, node_iri, label, triples
+                    );
                 }
             }
         }
@@ -769,7 +766,7 @@ proptest! {
 
     /// Jobs-invariance on hub-skewed graphs: the workload where stealing
     /// actually fires (one mega-task, a Zipf tail) must still produce
-    /// typings byte-identical to the sequential run under both schedulers,
+    /// typings byte-identical to the sequential run at every worker count,
     /// across random sizes and seeds.
     #[test]
     fn hub_skew_typing_jobs_invariant(
@@ -781,17 +778,14 @@ proptest! {
         let mut ds = w.dataset;
         let mut seq = Engine::new(&schema, &mut ds.pool).expect("compiles");
         let sequential = seq.type_all(&ds.graph, &ds.pool);
-        for fixed_shard in [false, true] {
-            for jobs in [2usize, 4] {
-                let config = EngineConfig { fixed_shard, ..EngineConfig::default() };
-                let mut par = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
-                let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
-                prop_assert_eq!(
-                    &sequential, &parallel,
-                    "hub(members={}, seed={}) fixed_shard={} jobs={}",
-                    members, seed, fixed_shard, jobs
-                );
-            }
+        for jobs in [2usize, 3, 4] {
+            let mut par = Engine::new(&schema, &mut ds.pool).expect("compiles");
+            let parallel = par.type_all_par(&ds.graph, &ds.pool, jobs);
+            prop_assert_eq!(
+                &sequential, &parallel,
+                "hub(members={}, seed={}) jobs={}",
+                members, seed, jobs
+            );
         }
     }
 }

@@ -201,11 +201,11 @@ fn dfa_typing_jobs_invariant_and_matches_no_dfa() {
 
 #[test]
 fn hub_typing_jobs_and_scheduler_invariant() {
-    // The adversarial shape for fixed sharding: one (hub, Hub) mega-task
+    // The adversarial shape for static sharding: one (hub, Hub) mega-task
     // whose proof transitively decides every member, plus a Zipf fanout
-    // tail. Whatever the scheduler does — fixed shards or work-stealing
-    // with mid-epoch publication — the typing must be byte-identical to
-    // the sequential run at every worker count.
+    // tail. Whatever the work-stealing scheduler does — steals, mid-epoch
+    // publication — the typing must be byte-identical to the sequential
+    // run at every worker count.
     let w = shapex_workloads::scale::hub(120, 9);
     let schema = shexc::parse(&w.schema).expect("hub schema parses");
     let mut ds = w.dataset;
@@ -222,19 +222,11 @@ fn hub_typing_jobs_and_scheduler_invariant() {
         let node = ds.iri(focus).expect("member interned");
         assert!(reference.has(node, member_shape), "{focus} must conform");
     }
-    for fixed_shard in [false, true] {
-        for jobs in [1usize, 2, 4] {
-            let config = EngineConfig {
-                fixed_shard,
-                ..EngineConfig::default()
-            };
-            let mut par = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
-            let typing = par.type_all_par(&ds.graph, &ds.pool, jobs);
-            assert_eq!(
-                typing, reference,
-                "typing diverged at jobs={jobs}, fixed_shard={fixed_shard}"
-            );
-        }
+    for jobs in [1usize, 2, 3, 4] {
+        let mut par =
+            Engine::compile(&schema, &mut ds.pool, EngineConfig::default()).expect("compiles");
+        let typing = par.type_all_par(&ds.graph, &ds.pool, jobs);
+        assert_eq!(typing, reference, "typing diverged at jobs={jobs}");
     }
 }
 
@@ -305,4 +297,143 @@ fn exhausted_queries_burn_exactly_their_budget() {
     assert_eq!(stats.budget_steps, exhausted as u64 * 200);
     assert_eq!(metrics.budget_steps, stats.budget_steps);
     assert_eq!(stats.exhausted_checks, exhausted as u64);
+}
+
+/// Promotion completeness: the publication log is the only channel that
+/// carries a worker's settled verdicts to the coordinator, so after
+/// `type_all_par` the coordinator must hold exactly what a sequential
+/// `type_all` leaves behind — every unconditional verdict, every failure
+/// diagnostic, every value-constraint result — at every worker count.
+/// Also pins the epoch accounting: nothing is re-seeded, the window tiles,
+/// and the per-shard `promoted` counts add up to the verdicts merged.
+fn assert_promotion_complete(name: &str, schema: &str, mut ds: Dataset, budget: Budget) {
+    let schema = shexc::parse(schema).expect("schema parses");
+    let config = EngineConfig {
+        budget,
+        ..EngineConfig::default()
+    };
+    let mut seq = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
+    let reference = seq.type_all(&ds.graph, &ds.pool);
+    let settled = seq.settled();
+    assert!(!settled.verdicts.is_empty(), "{name}: nothing settled");
+    for jobs in [2usize, 3, 4] {
+        let config = EngineConfig {
+            metrics: true,
+            ..config
+        };
+        let mut par = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
+        let typing = par.type_all_par(&ds.graph, &ds.pool, jobs);
+        assert_eq!(typing, reference, "{name}: typing diverged at jobs={jobs}");
+        let got = par.settled();
+        assert_eq!(
+            got.verdicts, settled.verdicts,
+            "{name}: verdicts diverged at jobs={jobs}"
+        );
+        assert_eq!(
+            got.failures, settled.failures,
+            "{name}: failures diverged at jobs={jobs}"
+        );
+        assert_eq!(
+            got.value_sat, settled.value_sat,
+            "{name}: value_sat diverged at jobs={jobs}"
+        );
+        let metrics = par.metrics().expect("metrics enabled");
+        assert!(
+            !metrics.waves.is_empty(),
+            "{name}: jobs={jobs} ran sequentially"
+        );
+        let mut promoted = 0;
+        for (i, wave) in metrics.waves.iter().enumerate() {
+            assert_eq!(wave.reseeded_pairs, 0, "{name}: epoch {i} re-seeded pairs");
+            assert_eq!(
+                wave.memo_answered + wave.merged_answered + wave.dispatched,
+                wave.queries,
+                "{name}: epoch {i}: answered + dispatched must tile the window"
+            );
+            promoted += wave.shards.iter().map(|s| s.promoted).sum::<u64>();
+        }
+        // A fresh engine memoises nothing before the run, so every settled
+        // verdict was promoted by exactly one shard.
+        assert_eq!(
+            promoted,
+            got.verdicts.len() as u64,
+            "{name}: shard promotions must count every merged verdict at jobs={jobs}"
+        );
+    }
+}
+
+#[test]
+fn promotion_complete_on_person_records() {
+    let w = shapex_workloads::flat_person_records(200, 5);
+    assert_promotion_complete("person", &w.schema, w.dataset, Budget::UNLIMITED);
+}
+
+#[test]
+fn promotion_complete_on_hub_skew() {
+    let w = shapex_workloads::scale::hub(300, 3);
+    assert_promotion_complete("hub", &w.schema, w.dataset, Budget::UNLIMITED);
+}
+
+#[test]
+fn promotion_complete_on_recursive_network() {
+    let w = shapex_workloads::person_network(
+        300,
+        shapex_workloads::Topology::Random { degree: 2 },
+        0.2,
+        11,
+    );
+    assert_promotion_complete("network", &w.schema, w.dataset, Budget::UNLIMITED);
+}
+
+#[test]
+fn promotion_complete_when_a_query_exhausts_after_nested_proofs() {
+    // (hub, Hub) needs ~2 steps per member, so a 40-step budget exhausts
+    // it part-way through its 60 members — after the first members were
+    // already proven <Leaf>. The members are not subjects, so only that
+    // exhausted query ever proves them: the verdicts must still travel
+    // from whichever worker ran it to the coordinator.
+    let mut src = String::from("@prefix e: <http://e/> .\n");
+    for i in 0..60 {
+        src.push_str(&format!("e:hub e:member e:m{i} .\n"));
+    }
+    for i in 0..10 {
+        src.push_str(&format!("e:x{i} e:v 1 .\n"));
+    }
+    let schema_src = "PREFIX e: <http://e/>\n<Hub> { e:member @<Leaf>* }\n<Leaf> { e:v [1]? }";
+    let budget = Budget::steps(40);
+    let data = || turtle::parse(&src).expect("data parses");
+    assert_promotion_complete("budgeted-hub", schema_src, data(), budget);
+    // The precondition the test is about: the hub query did exhaust, and
+    // some members were proven before it did.
+    let schema = shexc::parse(schema_src).expect("schema parses");
+    let mut ds = data();
+    let config = EngineConfig {
+        budget,
+        ..EngineConfig::default()
+    };
+    let mut par = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
+    let typing = par.type_all_par(&ds.graph, &ds.pool, 2);
+    let hub = ds.iri("http://e/hub").expect("hub interned");
+    let hub_shape = par.shape_id(&"Hub".into()).expect("Hub shape");
+    let leaf_shape = par.shape_id(&"Leaf".into()).expect("Leaf shape");
+    assert!(
+        typing
+            .exhausted
+            .iter()
+            .any(|&(n, s, _)| (n, s) == (hub, hub_shape)),
+        "(hub, Hub) must exhaust under the budget"
+    );
+    let members: Vec<_> = (0..60)
+        .map(|i| ds.iri(&format!("http://e/m{i}")).expect("member interned"))
+        .collect();
+    let proven_members = par
+        .settled()
+        .verdicts
+        .iter()
+        .filter(|&&(s, n, ok)| s == leaf_shape && ok && members.contains(&n))
+        .count();
+    assert!(
+        proven_members > 0 && proven_members < members.len(),
+        "expected a partial set of members proven, got {proven_members}"
+    );
 }
