@@ -3,7 +3,6 @@
 //! ```sh
 //! cargo run --release -p shapex-bench --bin scale
 //! cargo run --release -p shapex-bench --bin scale -- --triples 1000000 --jobs 1,2,4
-//! cargo run --release -p shapex-bench --features alloc-mimalloc --bin scale
 //! ```
 //!
 //! Per dump size (default 1M and 10M triples of the UniProt-shaped
@@ -22,12 +21,6 @@
 //! also checks the parallel parse against the sequential one with full
 //! structural equality (pool, triples, adjacency), so the numbers are for
 //! the *verified-identical* path.
-//!
-//! The `alloc-mimalloc` feature routes the process through the `mimalloc`
-//! crate for an allocator A/B. In this tree that crate is an offline shim
-//! forwarding to the system allocator (see `vendor/mimalloc`), so both
-//! arms measure the same allocator; the report's `"allocator"` field says
-//! which arm produced it.
 
 use std::process::Command;
 use std::time::Instant;
@@ -36,13 +29,7 @@ use serde_json::Value;
 use shapex_rdf::ntriples;
 use shapex_workloads::scale;
 
-#[cfg(feature = "alloc-mimalloc")]
-#[global_allocator]
-static GLOBAL: mimalloc::MiMalloc = mimalloc::MiMalloc;
-
-#[cfg(feature = "alloc-mimalloc")]
-const ALLOCATOR: &str = "mimalloc (vendored shim → system)";
-#[cfg(not(feature = "alloc-mimalloc"))]
+/// Recorded in the report: every run uses the system allocator.
 const ALLOCATOR: &str = "system";
 
 const SEED: u64 = 42;

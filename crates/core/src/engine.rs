@@ -946,7 +946,7 @@ impl Engine {
                 .schema
                 .shape_id(&assoc.shape)
                 .ok_or_else(|| EngineError::UnknownShape(assoc.shape.as_str().to_string()))?;
-            queries.push((terms.intern(assoc.node.clone()), shape));
+            queries.push((terms.intern_ref((&assoc.node).into()), shape));
         }
         let results = self.check_many(graph, terms, &queries);
         Ok(map

@@ -2,7 +2,6 @@
 //! compute the full shape typing, and answer conformance queries by name.
 
 use shapex_rdf::graph::Dataset;
-use shapex_rdf::term::Term;
 use shapex_rdf::turtle;
 use shapex_shex::ast::ShapeLabel;
 use shapex_shex::shexc;
@@ -209,7 +208,7 @@ pub fn check_node(
     let schema = shexc::parse(schema_shexc).map_err(ValidateError::SchemaSyntax)?;
     let mut dataset = turtle::parse(data_turtle).map_err(ValidateError::DataSyntax)?;
     let mut engine = Engine::new(&schema, &mut dataset.pool).map_err(ValidateError::Engine)?;
-    let node = dataset.pool.intern(Term::iri(node_iri));
+    let node = dataset.pool.intern_iri(node_iri);
     Ok(engine
         .check(&dataset.graph, &dataset.pool, node, &ShapeLabel::new(shape))
         .map_err(ValidateError::Engine)?

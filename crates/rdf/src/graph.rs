@@ -13,9 +13,11 @@
 //! `Vec` of spans indexed by the id — no hashing on the `neighbourhood`
 //! hot path. A span is either *frozen* (a `(start, len)` window into one
 //! shared contiguous arc arena, CSR-style) or *owned* (a private `Vec` for
-//! nodes still being built or mutated by deltas). Bulk loads finish with
-//! [`Graph::compact`], which folds every owned list into the arena so a
-//! full-typing run scans contiguous memory; a later
+//! nodes still being built or mutated by deltas). Bulk loads build the
+//! frozen layout directly ([`Graph::from_triples`]: one counting sort per
+//! direction, no per-node lists); graphs grown by [`Graph::insert`] finish
+//! with [`Graph::compact`], which folds every owned list into the arena.
+//! Either way a full-typing run scans contiguous memory, and a later
 //! [`Graph::apply_delta`] thaws only the nodes it actually touches.
 //! Neither representation is observable through the API: `neighbourhood`
 //! and `incoming` return the same slices, in the same insertion order,
@@ -25,7 +27,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::delta::{AppliedDelta, DeltaApplyError, GraphDelta};
 use crate::pool::{TermId, TermPool};
-use crate::term::Term;
+use crate::term::{Term, TermRef};
 
 /// A triple of interned term ids: subject, predicate, object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -168,6 +170,56 @@ impl Adjacency {
         *v = merged;
     }
 
+    /// Builds the compacted layout in one pass from `(node, arc)` entries:
+    /// a stable counting sort by node id, so each node's window holds its
+    /// arcs in entry order and windows sit in node-id order — exactly what
+    /// [`Adjacency::compact`] makes of the same entries pushed one by one.
+    /// `on_fresh` sees each node the first time it gets an entry.
+    fn bulk(
+        triples: &[Triple],
+        entry: impl Fn(&Triple) -> (TermId, Arc),
+        mut on_fresh: impl FnMut(TermId),
+    ) -> Adjacency {
+        let Some(first) = triples.first() else {
+            return Adjacency::default();
+        };
+        u32::try_from(triples.len()).expect("adjacency arena overflow");
+        let mut next: Vec<u32> = Vec::new();
+        for t in triples {
+            let (n, _) = entry(t);
+            if next.len() <= n.index() {
+                next.resize(n.index() + 1, 0);
+            }
+            if next[n.index()] == 0 {
+                on_fresh(n);
+            }
+            next[n.index()] += 1;
+        }
+        // Counts become each window's start, then its fill cursor.
+        let mut total = 0u32;
+        let spans = next
+            .iter_mut()
+            .map(|count| {
+                let (start, len) = (total, *count);
+                *count = start;
+                total += len;
+                if len == 0 {
+                    Span::Unused
+                } else {
+                    Span::Frozen { start, len }
+                }
+            })
+            .collect();
+        let mut arena = vec![entry(first).1; total as usize];
+        for t in triples {
+            let (n, arc) = entry(t);
+            let slot = &mut next[n.index()];
+            arena[*slot as usize] = arc;
+            *slot += 1;
+        }
+        Adjacency { arena, spans }
+    }
+
     /// Folds every span into one freshly packed contiguous arena (node-id
     /// order), turning all owned lists and stale frozen windows into dense
     /// CSR storage.
@@ -218,9 +270,29 @@ impl Graph {
         Graph::default()
     }
 
-    /// Pre-sizes the triple set for a bulk load of `additional` triples.
-    pub fn reserve(&mut self, additional: usize) {
-        self.triples.reserve(additional);
+    /// Builds a graph from a triple list in bulk — what a loader has once
+    /// a whole document is parsed. Duplicates are dropped (first occurrence
+    /// wins), and the result is structurally identical to inserting the
+    /// triples one by one in list order and calling [`Graph::compact`]:
+    /// same adjacency order, same subject order. Both arc arenas are filled
+    /// in place by a counting sort, with no per-node list ever allocated.
+    pub fn from_triples(mut triples: Vec<Triple>) -> Graph {
+        let mut set = FxHashSet::with_capacity_and_hasher(triples.len(), Default::default());
+        triples.retain(|&t| set.insert(t));
+        set.shrink_to_fit();
+        let mut subject_order = Vec::new();
+        let outgoing = Adjacency::bulk(
+            &triples,
+            |t| (t.subject, (t.predicate, t.object)),
+            |s| subject_order.push(s),
+        );
+        let incoming = Adjacency::bulk(&triples, |t| (t.object, (t.subject, t.predicate)), |_| {});
+        Graph {
+            triples: set,
+            outgoing,
+            incoming,
+            subject_order,
+        }
     }
 
     /// Inserts a triple. Returns `true` if it was not already present
@@ -259,7 +331,8 @@ impl Graph {
     }
 
     /// Packs all adjacency lists into contiguous arena storage (and trims
-    /// the triple set) — call once after a bulk load. Purely a memory-
+    /// the triple set) — call once after a run of [`Graph::insert`]s
+    /// ([`Graph::from_triples`] builds this layout directly). Purely a memory-
     /// layout operation: every observable order and slice is unchanged,
     /// and later mutations transparently thaw the nodes they touch.
     pub fn compact(&mut self) {
@@ -583,14 +656,9 @@ impl Dataset {
         self.pool.get(term)
     }
 
-    /// Looks up the id of an IRI node.
+    /// Looks up the id of an IRI node. Allocates nothing.
     pub fn iri(&self, iri: &str) -> Option<TermId> {
-        self.pool.get(&Term::iri(iri))
-    }
-
-    /// [`Graph::compact`] on the bundled graph.
-    pub fn compact(&mut self) {
-        self.graph.compact();
+        self.pool.get_ref(TermRef::Iri(iri))
     }
 
     /// [`Graph::apply_delta`] on the bundled graph.
@@ -991,5 +1059,88 @@ mod tests {
         assert_eq!(writer::to_ntriples(&ds.graph, &ds.pool), before);
         assert_eq!(ds.graph.neighbourhood(a), before_arcs.as_slice());
         failpoint::reset();
+    }
+
+    /// A direction's exact layout: arena plus each span as `None` (unused)
+    /// or `Some((start, len))` (frozen); an owned span would panic.
+    fn layout(adj: &Adjacency) -> (Vec<Arc>, Vec<Option<(u32, u32)>>) {
+        let spans = adj
+            .spans
+            .iter()
+            .map(|s| match *s {
+                Span::Unused => None,
+                Span::Frozen { start, len } => Some((start, len)),
+                Span::Owned(_) => panic!("owned span in a compacted layout"),
+            })
+            .collect();
+        (adj.arena.clone(), spans)
+    }
+
+    fn assert_same_graph(a: &Graph, b: &Graph, pool: &TermPool) {
+        assert_eq!(a.triples_sorted(), b.triples_sorted());
+        assert_eq!(
+            a.subjects().collect::<Vec<_>>(),
+            b.subjects().collect::<Vec<_>>()
+        );
+        for (id, _) in pool.iter() {
+            assert_eq!(a.neighbourhood(id), b.neighbourhood(id));
+            assert_eq!(a.incoming(id), b.incoming(id));
+        }
+    }
+
+    mod bulk {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_triples() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
+            proptest::collection::vec((0usize..10, 0usize..3, 0usize..10), 0..80)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// `from_triples` lays the graph out exactly as one-by-one
+            /// `insert` plus `compact` does — same arenas, same spans, same
+            /// subject order, duplicates dropped at their first occurrence
+            /// — and the frozen result thaws correctly under a delta and
+            /// its revert.
+            #[test]
+            fn bulk_build_matches_incremental(
+                base in arb_triples(),
+                removed in arb_triples(),
+                added in arb_triples(),
+            ) {
+                let mut pool = TermPool::new();
+                let ids: Vec<TermId> = (0..10)
+                    .map(|i| pool.intern_iri(&format!("http://e/{i}")))
+                    .collect();
+                let triple = |&(s, p, o): &(usize, usize, usize)| Triple::new(ids[s], ids[p], ids[o]);
+                let list: Vec<Triple> = base.iter().map(triple).collect();
+
+                let mut incremental = Graph::new();
+                for &t in &list {
+                    incremental.insert(t);
+                }
+                incremental.compact();
+                let mut bulk = Graph::from_triples(list);
+                prop_assert_eq!(layout(&bulk.outgoing), layout(&incremental.outgoing));
+                prop_assert_eq!(layout(&bulk.incoming), layout(&incremental.incoming));
+                prop_assert_eq!(&bulk.subject_order, &incremental.subject_order);
+                assert_same_graph(&bulk, &incremental, &pool);
+
+                let delta = GraphDelta {
+                    removed: removed.iter().map(triple).collect(),
+                    added: added.iter().map(triple).collect(),
+                };
+                let applied_bulk = bulk.try_apply_delta(&delta).unwrap();
+                let applied_incremental = incremental.try_apply_delta(&delta).unwrap();
+                assert_same_graph(&bulk, &incremental, &pool);
+                bulk.revert_delta(&applied_bulk);
+                incremental.revert_delta(&applied_incremental);
+                assert_same_graph(&bulk, &incremental, &pool);
+                let fresh = Graph::from_triples(base.iter().map(triple).collect());
+                assert_same_graph(&bulk, &fresh, &pool);
+            }
+        }
     }
 }

@@ -5,37 +5,46 @@
 //! statements, ...). Per the W3C grammar the format is *strictly
 //! line-oriented*: a triple may not span lines, comments are only allowed
 //! on otherwise-empty lines or after the terminating `.`, and every error
-//! is reported with the 1-based line it occurred on.
+//! is reported with the 1-based line and column it occurred on.
+//!
+//! ## The load path
+//!
+//! Loading a dump is three steps, shared by [`parse`] and [`parse_par`]:
+//!
+//! 1. **Scan.** A byte-level scanner walks each line as `&[u8]`. Every
+//!    delimiter the grammar cares about is ASCII, so it never decodes
+//!    UTF-8 on the common path, and it hands out terms as borrowed `&str`
+//!    slices of the input ([`TermRef`]s). Only a string holding a `\`
+//!    escape (or an upper-case language tag) is decoded, into scratch
+//!    buffers reused across lines. Columns are counted in chars, and only
+//!    when an error is built.
+//! 2. **Intern.** Each borrowed term is interned into a [`TermPool`] as
+//!    soon as it is scanned. The pool stores every distinct term once and
+//!    finds a repeated one by hash and compare, without allocating.
+//! 3. **Build.** The triple list, in document order, becomes the graph in
+//!    bulk ([`Graph::from_triples`]): deduplicated, with both adjacency
+//!    arenas filled in their compacted layout by a counting sort.
 //!
 //! Line-orientation is also what makes dumps parallelizable:
 //! [`parse_par`] splits the input at line boundaries into byte ranges,
-//! parses the chunks on scoped worker threads with chunk-local term
-//! interning, then merges them deterministically into one shared pool —
+//! scans and interns the chunks on scoped worker threads into chunk-local
+//! pools, then merges them deterministically into one shared pool —
 //! producing a [`Dataset`] *byte-identical* to sequential [`parse`] (same
 //! `TermId` assignment, same adjacency order, same first error).
 
-use crate::graph::{Dataset, Triple};
-use crate::parser::{decode_string_escape, decode_unicode_escape, Cursor, ParseError};
+use crate::graph::{Dataset, Graph, Triple};
+use crate::parser::{simple_escape, ParseError};
 use crate::pool::{TermId, TermPool};
-use crate::term::{Literal, Term};
+use crate::term::TermRef;
+use crate::vocab::{rdf, xsd};
 
-/// Parses an N-Triples document into a fresh [`Dataset`].
-///
-/// The result is compacted ([`Dataset::compact`]) — bulk loads are the one
-/// place the whole graph is in hand and cold.
+/// Parses an N-Triples document into a fresh [`Dataset`], whose graph is
+/// built in bulk and so already compact.
 pub fn parse(input: &str) -> Result<Dataset, ParseError> {
-    let mut ds = Dataset::new();
-    ds.graph.reserve(count_newlines(input) + 1);
-    parse_into(input, &mut ds)?;
-    ds.compact();
-    Ok(ds)
-}
-
-/// Parses an N-Triples document into an existing dataset. Strictly
-/// line-oriented; does not compact (the caller owns the layout decision).
-pub fn parse_into(input: &str, dataset: &mut Dataset) -> Result<(), ParseError> {
-    parse_lines(input, 1, &mut |s, p, o| {
-        dataset.insert(s, p, o);
+    let (pool, triples) = load(input)?;
+    Ok(Dataset {
+        pool,
+        graph: Graph::from_triples(triples),
     })
 }
 
@@ -46,9 +55,9 @@ pub const MIN_CHUNK_BYTES: usize = 1 << 16;
 /// Parses an N-Triples document on up to `jobs` worker threads.
 ///
 /// The input is split at line boundaries into byte ranges; each worker
-/// parses its range into a chunk-local [`TermPool`] and triple list; the
-/// merge phase then re-interns each chunk's terms into the shared pool *in
-/// chunk order* and replays the triples through it. Because chunk-local
+/// scans its range into a chunk-local [`TermPool`] and triple list; the
+/// merge phase then moves each chunk's terms into the shared pool *in
+/// chunk order* and remaps its triples through them. Because chunk-local
 /// interning order is first-occurrence order within the chunk, and
 /// interning is idempotent, the merged pool assigns every term exactly the
 /// id sequential [`parse`] would — the result is byte-identical, including
@@ -94,33 +103,10 @@ pub fn parse_par_min_chunk(
         start = end;
     }
 
-    struct ChunkParse {
-        pool: TermPool,
-        triples: Vec<(TermId, TermId, TermId)>,
-        newlines: usize,
-        error: Option<ParseError>,
-    }
-
-    fn parse_chunk(chunk: &str) -> ChunkParse {
-        let newlines = count_newlines(chunk);
-        let mut pool = TermPool::new();
-        let mut triples = Vec::new();
-        let error = parse_lines(chunk, 1, &mut |s, p, o| {
-            triples.push((pool.intern(s), pool.intern(p), pool.intern(o)));
-        })
-        .err();
-        ChunkParse {
-            pool,
-            triples,
-            newlines,
-            error,
-        }
-    }
-
-    let parsed: Vec<ChunkParse> = std::thread::scope(|s| {
+    let parsed: Vec<Result<(TermPool, Vec<Triple>), ParseError>> = std::thread::scope(|s| {
         let handles: Vec<_> = chunks
             .iter()
-            .map(|chunk| s.spawn(move || parse_chunk(chunk)))
+            .map(|chunk| s.spawn(move || load(chunk)))
             .collect();
         handles
             .into_iter()
@@ -130,221 +116,410 @@ pub fn parse_par_min_chunk(
 
     // Surface the earliest error exactly as sequential parsing would:
     // chunk-relative line plus the line count of every earlier chunk.
-    let mut line_offset = 0usize;
-    for chunk in &parsed {
-        if let Some(err) = &chunk.error {
-            let mut err = err.clone();
-            err.line += line_offset;
-            return Err(err);
-        }
-        line_offset += chunk.newlines;
+    let mut loaded = Vec::with_capacity(parsed.len());
+    for (k, result) in parsed.into_iter().enumerate() {
+        loaded.push(result.map_err(|mut err| {
+            err.line += chunks[..k].iter().map(|c| count_newlines(c)).sum::<usize>();
+            err
+        })?);
     }
 
-    // Deterministic merge. Re-interning chunk pools in chunk order
+    // Deterministic merge. The first chunk's pool and triples already are
+    // what sequential parsing holds after that chunk's lines, so they are
+    // kept as they are. Interning the later chunk pools in chunk order then
     // reproduces sequential id assignment by induction: a chunk's local
     // pool lists terms in first-occurrence order, so the subset not yet
     // seen globally is interned in exactly the order sequential parsing
-    // would first meet it.
-    let mut ds = Dataset::new();
-    ds.pool.reserve(parsed.iter().map(|c| c.pool.len()).sum());
-    ds.graph
-        .reserve(parsed.iter().map(|c| c.triples.len()).sum());
-    for chunk in parsed {
-        let remap: Vec<TermId> = chunk
-            .pool
+    // would first meet it. Terms are moved, never cloned: a new one moves
+    // into the shared pool, a known one is dropped.
+    let mut loaded = loaded.into_iter();
+    let (mut pool, mut triples) = loaded.next().expect("a non-empty input has a chunk");
+    let rest = loaded.as_slice();
+    pool.reserve(rest.iter().map(|(p, _)| p.len()).sum());
+    triples.reserve(rest.iter().map(|(_, t)| t.len()).sum());
+    for (chunk_pool, chunk_triples) in loaded {
+        let remap: Vec<TermId> = chunk_pool
             .into_terms()
             .into_iter()
-            .map(|t| ds.pool.intern(t))
+            .map(|t| pool.intern(t))
             .collect();
-        for (s, p, o) in chunk.triples {
-            ds.graph.insert(Triple::new(
-                remap[s.index()],
-                remap[p.index()],
-                remap[o.index()],
-            ));
-        }
+        triples.extend(chunk_triples.into_iter().map(|t| {
+            Triple::new(
+                remap[t.subject.index()],
+                remap[t.predicate.index()],
+                remap[t.object.index()],
+            )
+        }));
     }
-    ds.compact();
-    Ok(ds)
+    Ok(Dataset {
+        pool,
+        graph: Graph::from_triples(triples),
+    })
 }
 
 fn count_newlines(s: &str) -> usize {
     s.as_bytes().iter().filter(|&&b| b == b'\n').count()
 }
 
-/// Parses `input` line by line, feeding each triple's terms to `sink`.
-/// `first_line` seeds error line numbering (chunk workers pass 1 and the
-/// merge phase offsets). One trailing `'\r'` per line is stripped, so both
-/// LF and CRLF documents parse; a `'\r'` anywhere else is an error like any
-/// other control character.
-fn parse_lines(
-    input: &str,
-    first_line: usize,
-    sink: &mut impl FnMut(Term, Term, Term),
-) -> Result<(), ParseError> {
+/// Scans and interns `input` into a fresh pool, returning it with the
+/// document's triples in order (duplicates included). A line's terms are
+/// interned as they are scanned; if a later term on the line is malformed
+/// the whole load fails, so that is never observable.
+fn load(input: &str) -> Result<(TermPool, Vec<Triple>), ParseError> {
+    let mut pool = TermPool::new();
+    let mut triples = Vec::with_capacity(count_newlines(input) + 1);
+    let mut scratch = Scratch::default();
+    // One trailing '\r' per line is stripped, so both LF and CRLF
+    // documents parse; a '\r' anywhere else is an error like any other
+    // control character.
     for (i, raw) in input.split('\n').enumerate() {
-        let line = raw.strip_suffix('\r').unwrap_or(raw);
-        let mut cur = Cursor::new_at_line(line, first_line + i);
-        skip_inline_ws(&mut cur);
-        if matches!(cur.peek(), None | Some('#')) {
-            continue; // empty or comment-only line
+        let mut line = Line {
+            text: raw.strip_suffix('\r').unwrap_or(raw),
+            pos: 0,
+            number: i + 1,
+        };
+        if let Some(triple) = line.triple(&mut scratch, &mut pool)? {
+            triples.push(triple);
         }
-        let subject = match cur.peek() {
-            Some('<') => parse_iri(&mut cur).map(Term::iri)?,
-            Some('_') => parse_blank(&mut cur)?,
-            Some('"') => return Err(cur.error("subject must be an IRI or blank node")),
-            Some(c) => return Err(cur.error(format!("expected subject, got '{c}'"))),
-            None => unreachable!("empty line handled above"),
-        };
-        skip_inline_ws(&mut cur);
-        let predicate = match cur.peek() {
-            Some('<') => parse_iri(&mut cur).map(Term::iri)?,
-            Some(c) => return Err(cur.error(format!("predicate must be an IRI, got '{c}'"))),
-            None => return Err(cur.error("expected predicate before end of line")),
-        };
-        skip_inline_ws(&mut cur);
-        let object = match cur.peek() {
-            Some('<') => parse_iri(&mut cur).map(Term::iri)?,
-            Some('_') => parse_blank(&mut cur)?,
-            Some('"') => parse_literal(&mut cur)?,
-            Some(c) => return Err(cur.error(format!("expected object, got '{c}'"))),
-            None => return Err(cur.error("expected object before end of line")),
-        };
-        skip_inline_ws(&mut cur);
-        if !cur.eat('.') {
-            return Err(match cur.peek() {
-                Some(c) => cur.error(format!("expected '.' terminating triple, got '{c}'")),
-                None => cur.error("expected '.' terminating triple before end of line"),
-            });
+    }
+    Ok((pool, triples))
+}
+
+/// Decode buffers reused across lines, one per string of a term that may
+/// need decoding at the same time: an IRI or a literal's lexical form, a
+/// literal's datatype, and its lowercased language tag.
+#[derive(Default)]
+struct Scratch {
+    text: String,
+    datatype: String,
+    lang: String,
+}
+
+/// Bytes that end the raw run of an IRIREF: its terminator `>`, the
+/// escape `\`, and everything the grammar forbids raw (controls, space,
+/// `<"{}|^` and backquote). All are ASCII, so multibyte chars never stop
+/// a run.
+fn iri_stop(b: u8) -> bool {
+    b <= 0x20
+        || matches!(
+            b,
+            b'<' | b'>' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\'
+        )
+}
+
+/// Bytes that end the raw run of a string literal.
+fn literal_stop(b: u8) -> bool {
+    matches!(b, b'"' | b'\\' | b'\r')
+}
+
+/// The scanner over one line (its line break already removed). `pos` is a
+/// byte offset and always sits on a char boundary.
+struct Line<'a> {
+    text: &'a str,
+    pos: usize,
+    number: usize,
+}
+
+impl<'a> Line<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// The char at `pos`, for messages and the rare non-ASCII check.
+    fn char_here(&self) -> Option<char> {
+        self.text[self.pos..].chars().next()
+    }
+
+    /// Advances while `more` holds for the next byte.
+    fn skip_while(&mut self, more: impl Fn(u8) -> bool) {
+        while self.peek().is_some_and(&more) {
+            self.pos += 1;
         }
-        skip_inline_ws(&mut cur);
-        match cur.peek() {
-            None | Some('#') => {}
-            Some(c) => {
-                return Err(cur.error(format!(
-                    "unexpected '{c}' after triple (one triple per line)"
-                )))
+    }
+
+    /// An error at `pos`; the column counts chars, not bytes.
+    fn error(&self, message: impl Into<String>) -> ParseError {
+        let column = self.text[..self.pos].chars().count() + 1;
+        ParseError::new(self.number, column, message)
+    }
+
+    /// An error naming the char at `pos`, via `message(c)`.
+    fn error_got(&self, message: impl FnOnce(char) -> String) -> ParseError {
+        let c = self.char_here().expect("error_got at end of line");
+        self.error(message(c))
+    }
+
+    /// Scans the line, interning its terms: `None` for an empty or
+    /// comment-only line, the triple otherwise.
+    fn triple(
+        &mut self,
+        scratch: &mut Scratch,
+        pool: &mut TermPool,
+    ) -> Result<Option<Triple>, ParseError> {
+        // Between terms the grammar allows space and tab only.
+        let ws = |b| b == b' ' || b == b'\t';
+        self.skip_while(ws);
+        let subject = match self.peek() {
+            None | Some(b'#') => return Ok(None),
+            Some(b'<') => TermRef::Iri(self.iri(&mut scratch.text)?),
+            Some(b'_') => self.blank()?,
+            Some(b'"') => return Err(self.error("subject must be an IRI or blank node")),
+            Some(_) => return Err(self.error_got(|c| format!("expected subject, got '{c}'"))),
+        };
+        let subject = pool.intern_ref(subject);
+        self.skip_while(ws);
+        let predicate = match self.peek() {
+            Some(b'<') => self.iri(&mut scratch.text)?,
+            Some(_) => {
+                return Err(self.error_got(|c| format!("predicate must be an IRI, got '{c}'")))
+            }
+            None => return Err(self.error("expected predicate before end of line")),
+        };
+        let predicate = pool.intern_ref(TermRef::Iri(predicate));
+        self.skip_while(ws);
+        let object = match self.peek() {
+            Some(b'<') => TermRef::Iri(self.iri(&mut scratch.text)?),
+            Some(b'_') => self.blank()?,
+            Some(b'"') => self.literal(scratch)?,
+            Some(_) => return Err(self.error_got(|c| format!("expected object, got '{c}'"))),
+            None => return Err(self.error("expected object before end of line")),
+        };
+        let object = pool.intern_ref(object);
+        self.skip_while(ws);
+        match self.peek() {
+            Some(b'.') => self.pos += 1,
+            Some(_) => {
+                return Err(
+                    self.error_got(|c| format!("expected '.' terminating triple, got '{c}'"))
+                )
+            }
+            None => return Err(self.error("expected '.' terminating triple before end of line")),
+        }
+        self.skip_while(ws);
+        match self.peek() {
+            None | Some(b'#') => Ok(Some(Triple::new(subject, predicate, object))),
+            Some(_) => {
+                Err(self
+                    .error_got(|c| format!("unexpected '{c}' after triple (one triple per line)")))
             }
         }
-        sink(subject, predicate, object);
     }
-    Ok(())
-}
 
-/// Skips the whitespace the grammar allows between terms: space and tab.
-/// (Line breaks never reach here — lines are pre-split.)
-fn skip_inline_ws(cur: &mut Cursor<'_>) {
-    while matches!(cur.peek(), Some(' ') | Some('\t')) {
-        cur.bump();
-    }
-}
-
-fn parse_iri(cur: &mut Cursor<'_>) -> Result<String, ParseError> {
-    cur.bump(); // '<'
-    let mut iri = String::new();
-    loop {
-        let c = cur.bump().ok_or_else(|| cur.error("unterminated IRI"))?;
-        match c {
-            '>' => return Ok(iri),
-            '\\' => match cur.bump() {
-                Some('u') => iri.push(decode_unicode_escape(cur, 4)?),
-                Some('U') => iri.push(decode_unicode_escape(cur, 8)?),
-                _ => return Err(cur.error("invalid escape in IRI (only \\u/\\U allowed)")),
-            },
-            // IRIREF forbids controls, space, and <"{}|^` raw — they must
-            // be \u-escaped (the grammar's UCHAR production).
-            '\u{00}'..='\u{20}' | '<' | '"' | '{' | '}' | '|' | '^' | '`' => {
-                return Err(cur.error(format!(
-                    "character U+{:04X} not allowed in IRI (use \\u escape)",
-                    c as u32
-                )))
+    /// IRIREF, positioned on its `<`. Borrowed from the line unless it
+    /// holds a `\u`/`\U` escape; then it is decoded into `buf`.
+    fn iri<'s>(&mut self, buf: &'s mut String) -> Result<&'s str, ParseError>
+    where
+        'a: 's,
+    {
+        self.pos += 1; // '<'
+        let (text, start) = (self.text, self.pos);
+        let mut decoding = false;
+        loop {
+            let run = self.pos;
+            self.skip_while(|b| !iri_stop(b));
+            if decoding {
+                buf.push_str(&text[run..self.pos]);
             }
-            c => iri.push(c),
+            match self.peek() {
+                Some(b'>') => {
+                    self.pos += 1;
+                    return Ok(if decoding {
+                        buf
+                    } else {
+                        &text[start..self.pos - 1]
+                    });
+                }
+                Some(b'\\') => {
+                    if !decoding {
+                        decoding = true;
+                        buf.clear();
+                        buf.push_str(&text[start..self.pos]);
+                    }
+                    self.pos += 1;
+                    let digits = match self.peek() {
+                        Some(b'u') => 4,
+                        Some(b'U') => 8,
+                        _ => {
+                            self.pos += self.char_here().map_or(0, char::len_utf8);
+                            return Err(self.error("invalid escape in IRI (only \\u/\\U allowed)"));
+                        }
+                    };
+                    self.pos += 1;
+                    buf.push(self.hex_escape(digits)?);
+                }
+                // IRIREF forbids controls, space, and <"{}|^` raw — they
+                // must be \u-escaped (the grammar's UCHAR production).
+                Some(b) => {
+                    self.pos += 1;
+                    return Err(self.error(format!(
+                        "character U+{b:04X} not allowed in IRI (use \\u escape)"
+                    )));
+                }
+                None => return Err(self.error("unterminated IRI")),
+            }
         }
     }
-}
 
-fn parse_blank(cur: &mut Cursor<'_>) -> Result<Term, ParseError> {
-    if !cur.eat_str("_:") {
-        return Err(cur.error("expected '_:'"));
-    }
-    let mut label = String::new();
-    while let Some(c) = cur.peek() {
-        if c.is_alphanumeric() || c == '_' || c == '-' {
-            label.push(c);
-            cur.bump();
-        } else {
-            break;
+    /// `\u`/`\U` escape body: `digits` hex digits, positioned after the
+    /// `u`/`U`.
+    fn hex_escape(&mut self, digits: usize) -> Result<char, ParseError> {
+        let mut value: u32 = 0;
+        for _ in 0..digits {
+            let c = self
+                .char_here()
+                .ok_or_else(|| self.error("unterminated unicode escape"))?;
+            self.pos += c.len_utf8();
+            let d = c
+                .to_digit(16)
+                .ok_or_else(|| self.error(format!("invalid hex digit '{c}' in unicode escape")))?;
+            value = value * 16 + d;
         }
+        char::from_u32(value).ok_or_else(|| self.error(format!("invalid code point U+{value:X}")))
     }
-    if label.is_empty() {
-        return Err(cur.error("empty blank node label"));
-    }
-    Ok(Term::blank(label))
-}
 
-fn parse_literal(cur: &mut Cursor<'_>) -> Result<Term, ParseError> {
-    cur.bump(); // '"'
-    let mut lexical = String::new();
-    loop {
-        let c = cur
-            .bump()
-            .ok_or_else(|| cur.error("unterminated string literal"))?;
-        match c {
-            '"' => break,
-            '\\' => lexical.push(decode_string_escape(cur)?),
-            // Raw newlines can't reach here (lines are pre-split); a raw
-            // carriage return mid-line is just as forbidden.
-            '\r' => return Err(cur.error("carriage return in string literal (use \\r)")),
-            c => lexical.push(c),
+    /// BLANK_NODE_LABEL, positioned on its `_`. Always borrowed.
+    fn blank(&mut self) -> Result<TermRef<'a>, ParseError> {
+        if !self.text.as_bytes()[self.pos..].starts_with(b"_:") {
+            return Err(self.error("expected '_:'"));
         }
-    }
-    if cur.eat('@') {
-        // LANGTAG ::= [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*
-        let mut lang = String::new();
-        while let Some(c) = cur.peek() {
-            if c.is_ascii_alphabetic() {
-                lang.push(c);
-                cur.bump();
+        self.pos += 2;
+        let start = self.pos;
+        while let Some(b) = self.peek() {
+            let len = if b.is_ascii() {
+                usize::from(b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
             } else {
+                let c = self.char_here().expect("non-ASCII byte starts a char");
+                if c.is_alphanumeric() {
+                    c.len_utf8()
+                } else {
+                    0
+                }
+            };
+            if len == 0 {
                 break;
             }
+            self.pos += len;
         }
-        if lang.is_empty() {
-            return Err(cur.error("language tag must start with a letter"));
+        if self.pos == start {
+            return Err(self.error("empty blank node label"));
         }
-        while cur.peek() == Some('-') {
-            cur.bump();
-            lang.push('-');
-            let before = lang.len();
-            while let Some(c) = cur.peek() {
-                if c.is_ascii_alphanumeric() {
-                    lang.push(c);
-                    cur.bump();
-                } else {
-                    break;
+        Ok(TermRef::BlankNode(&self.text[start..self.pos]))
+    }
+
+    /// A literal with its optional language tag or datatype, positioned on
+    /// the opening `"`.
+    fn literal<'s>(&mut self, scratch: &'s mut Scratch) -> Result<TermRef<'s>, ParseError>
+    where
+        'a: 's,
+    {
+        let lexical = self.string(&mut scratch.text)?;
+        if self.peek() == Some(b'@') {
+            // LANGTAG ::= [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*
+            self.pos += 1;
+            let start = self.pos;
+            self.skip_while(|b| b.is_ascii_alphabetic());
+            if self.pos == start {
+                return Err(self.error("language tag must start with a letter"));
+            }
+            while self.peek() == Some(b'-') {
+                self.pos += 1;
+                let before = self.pos;
+                self.skip_while(|b| b.is_ascii_alphanumeric());
+                if self.pos == before {
+                    return Err(self.error("empty language subtag"));
                 }
             }
-            if lang.len() == before {
-                return Err(cur.error("empty language subtag"));
+            // Tags are case-insensitive; terms keep them lowercase.
+            let mut lang = &self.text[start..self.pos];
+            if lang.bytes().any(|b| b.is_ascii_uppercase()) {
+                scratch.lang.clear();
+                scratch.lang.push_str(lang);
+                scratch.lang.make_ascii_lowercase();
+                lang = &scratch.lang;
+            }
+            return Ok(TermRef::Literal {
+                lexical,
+                datatype: rdf::LANG_STRING,
+                lang: Some(lang),
+            });
+        }
+        let datatype = if self.text.as_bytes()[self.pos..].starts_with(b"^^") {
+            self.pos += 2;
+            if self.peek() != Some(b'<') {
+                return Err(self.error("datatype must be an IRI"));
+            }
+            self.iri(&mut scratch.datatype)?
+        } else {
+            xsd::STRING
+        };
+        Ok(TermRef::Literal {
+            lexical,
+            datatype,
+            lang: None,
+        })
+    }
+
+    /// STRING_LITERAL_QUOTE, positioned on its opening `"`. Borrowed from
+    /// the line unless it holds an escape; then it is decoded into `buf`.
+    fn string<'s>(&mut self, buf: &'s mut String) -> Result<&'s str, ParseError>
+    where
+        'a: 's,
+    {
+        self.pos += 1; // '"'
+        let (text, start) = (self.text, self.pos);
+        let mut decoding = false;
+        loop {
+            let run = self.pos;
+            self.skip_while(|b| !literal_stop(b));
+            if decoding {
+                buf.push_str(&text[run..self.pos]);
+            }
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(if decoding {
+                        buf
+                    } else {
+                        &text[start..self.pos - 1]
+                    });
+                }
+                Some(b'\\') => {
+                    if !decoding {
+                        decoding = true;
+                        buf.clear();
+                        buf.push_str(&text[start..self.pos]);
+                    }
+                    self.pos += 1;
+                    let c = self
+                        .char_here()
+                        .ok_or_else(|| self.error("unterminated escape sequence"))?;
+                    self.pos += c.len_utf8();
+                    let decoded = match c {
+                        'u' => self.hex_escape(4)?,
+                        'U' => self.hex_escape(8)?,
+                        c => simple_escape(c).ok_or_else(|| {
+                            self.error(format!("invalid escape sequence '\\{c}'"))
+                        })?,
+                    };
+                    buf.push(decoded);
+                }
+                // The one other stop byte: a raw carriage return, as
+                // forbidden mid-line as a raw newline (which lines are
+                // pre-split on).
+                Some(_) => {
+                    self.pos += 1;
+                    return Err(self.error("carriage return in string literal (use \\r)"));
+                }
+                None => return Err(self.error("unterminated string literal")),
             }
         }
-        return Ok(Term::Literal(Literal::lang_string(lexical, &lang)));
     }
-    if cur.eat_str("^^") {
-        if cur.peek() != Some('<') {
-            return Err(cur.error("datatype must be an IRI"));
-        }
-        let dt = parse_iri(cur)?;
-        return Ok(Term::Literal(Literal::typed(lexical, dt)));
-    }
-    Ok(Term::Literal(Literal::string(lexical)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vocab::xsd;
+    use crate::term::{Literal, Term};
     use crate::writer;
 
     #[test]
@@ -523,6 +698,89 @@ mod tests {
         assert!(parse("<http://e/a> <http://e/p> \"x\"@en- .").is_err());
     }
 
+    /// One malformed document per rejection branch, with the exact
+    /// `(line, column, message)` the parser reports. Columns count chars,
+    /// not bytes (several lines put multibyte text before the error).
+    /// Error text and positions are user-visible (the CLI prints them as
+    /// `file:line:column: message`), so they are pinned exactly.
+    const GOLDEN_REJECTIONS: &[(&str, usize, usize, &str)] = &[
+        ("\"lit\" <http://e/p> <http://e/o> .", 1, 1, "subject must be an IRI or blank node"),
+        ("ex:a <http://e/p> <http://e/o> .", 1, 1, "expected subject, got 'e'"),
+        ("  é <http://e/p> <http://e/o> .", 1, 3, "expected subject, got 'é'"),
+        ("😀 <http://e/p> <http://e/o> .", 1, 1, "expected subject, got '😀'"),
+        ("_x <http://e/p> <http://e/o> .", 1, 1, "expected '_:'"),
+        ("_: <http://e/p> <http://e/o> .", 1, 3, "empty blank node label"),
+        ("<http://e/a> _:p <http://e/o> .", 1, 14, "predicate must be an IRI, got '_'"),
+        ("<http://e/a> \"x\" <http://e/o> .", 1, 14, "predicate must be an IRI, got '\"'"),
+        ("<http://e/a> # comment", 1, 14, "predicate must be an IRI, got '#'"),
+        ("<http://e/a>", 1, 13, "expected predicate before end of line"),
+        ("<http://e/a> <http://e/p>", 1, 26, "expected object before end of line"),
+        ("<http://e/a> <http://e/p>   \t", 1, 30, "expected object before end of line"),
+        ("<http://e/a> <http://e/p> 42 .", 1, 27, "expected object, got '4'"),
+        ("<http://e/a> <http://e/p> _:!", 1, 29, "empty blank node label"),
+        ("<http://e/a> <http://e/p> <http://e/o>", 1, 39, "expected '.' terminating triple before end of line"),
+        ("<http://e/a> <http://e/p> <http://e/o> ;", 1, 40, "expected '.' terminating triple, got ';'"),
+        ("<http://e/a> <http://e/p> <http://e/o> . x", 1, 42, "unexpected 'x' after triple (one triple per line)"),
+        ("<http://e/a> <http://e/p> <http://e/o> .x", 1, 41, "unexpected 'x' after triple (one triple per line)"),
+        ("<http://e/a> <http://e/p> <http://e/o> . <http://e/a> <http://e/p> <http://e/c> .", 1, 42, "unexpected '<' after triple (one triple per line)"),
+        ("<http://e/a b> <http://e/p> <http://e/o> .", 1, 13, "character U+0020 not allowed in IRI (use \\u escape)"),
+        ("<http://é/ü{b> <http://e/p> <http://e/o> .", 1, 13, "character U+007B not allowed in IRI (use \\u escape)"),
+        ("<http://e/a> <http://e/p|> <http://e/o> .", 1, 26, "character U+007C not allowed in IRI (use \\u escape)"),
+        ("<http://e/a> <http://e/p> <http://e/^o> .", 1, 38, "character U+005E not allowed in IRI (use \\u escape)"),
+        ("<http://e/a\u{7}b> <http://e/p> <http://e/o> .", 1, 13, "character U+0007 not allowed in IRI (use \\u escape)"),
+        ("<http://e/a\rb> <http://e/p> <http://e/o> .", 1, 13, "character U+000D not allowed in IRI (use \\u escape)"),
+        ("<http://e/a<b> <http://e/p> <http://e/o> .", 1, 13, "character U+003C not allowed in IRI (use \\u escape)"),
+        ("<http://e/a`b> <http://e/p> <http://e/o> .", 1, 13, "character U+0060 not allowed in IRI (use \\u escape)"),
+        ("<http://e/a\\u00zz> <http://e/p> <http://e/o> .", 1, 17, "invalid hex digit 'z' in unicode escape"),
+        ("<http://e/a\\u12", 1, 16, "unterminated unicode escape"),
+        ("<http://e/\\UFFFFFFFF> <http://e/p> <http://e/o> .", 1, 21, "invalid code point U+FFFFFFFF"),
+        ("<http://e/\\uD800> <http://e/p> <http://e/o> .", 1, 17, "invalid code point U+D800"),
+        ("<http://e/a\\n> <http://e/p> <http://e/o> .", 1, 14, "invalid escape in IRI (only \\u/\\U allowed)"),
+        ("<http://e/a\\", 1, 13, "invalid escape in IRI (only \\u/\\U allowed)"),
+        ("<http://e/a", 1, 12, "unterminated IRI"),
+        ("<http://e/a> <http://e/p> \"a\rb\" .", 1, 30, "carriage return in string literal (use \\r)"),
+        ("<http://e/a> <http://e/p> \"abc", 1, 31, "unterminated string literal"),
+        ("<http://e/a> <http://e/p> \"a\\qb\" .", 1, 31, "invalid escape sequence '\\q'"),
+        ("<http://e/a> <http://e/p> \"ab\\", 1, 31, "unterminated escape sequence"),
+        ("<http://e/a> <http://e/p> \"é\\u00g0\" .", 1, 34, "invalid hex digit 'g' in unicode escape"),
+        ("<http://e/a> <http://e/p> \"é\\U0011FFFF\" .", 1, 39, "invalid code point U+11FFFF"),
+        ("<http://e/a> <http://e/p> \"x\"@1 .", 1, 31, "language tag must start with a letter"),
+        ("<http://e/a> <http://e/p> \"x\"@ .", 1, 31, "language tag must start with a letter"),
+        ("<http://e/a> <http://e/p> \"x\"@en- .", 1, 34, "empty language subtag"),
+        ("<http://e/a> <http://e/p> \"ü\"@en-US-é .", 1, 37, "empty language subtag"),
+        ("<http://e/a> <http://e/p> \"x\"^^\"y\" .", 1, 32, "datatype must be an IRI"),
+        ("<http://e/a> <http://e/p> \"x\"^<http://e/d> .", 1, 30, "expected '.' terminating triple, got '^'"),
+        ("<http://e/a> <http://e/p> \"x\"^^<http://e/d .", 1, 44, "character U+0020 not allowed in IRI (use \\u escape)"),
+        ("<http://e/a> <http://e/p> \"x\"^^<http://e/d\\u0zzz> .", 1, 47, "invalid hex digit 'z' in unicode escape"),
+        ("<http://e/a> <http://e/p> _:é!x .", 1, 30, "expected '.' terminating triple, got '!'"),
+        ("<http://e/a> <http://e/p> \"x\\U0001F600\\u00E9\"@en .junk", 1, 51, "unexpected 'j' after triple (one triple per line)"),
+        ("<http://e/a>\t<http://e/p>\t<http://e/o>\t.\tx", 1, 42, "unexpected 'x' after triple (one triple per line)"),
+        ("<http://e/a> <http://e/p> <http://e/o> .\r\n<http://e/a> <http://e/p>\r\n", 2, 26, "expected object before end of line"),
+        ("<http://e/a> <http://e/p> <http://e/o> .\r\r\n", 1, 41, "unexpected '\r' after triple (one triple per line)"),
+        ("# ü comment\r\n\r\n<http://e/ü> <http://e/p> \"ü\" ü\r\n", 3, 31, "expected '.' terminating triple, got 'ü'"),
+        ("<http://e/a> <http://e/p> <http://e/o> .\n\n  # c\n<http://e/ä> <http://e/p> \"ö\"@de-\n", 4, 34, "empty language subtag"),
+        ("<http://e/a>\n<http://e/p> <http://e/o> .\n", 1, 13, "expected predicate before end of line"),
+    ];
+
+    #[test]
+    fn golden_rejection_table() {
+        for &(doc, line, column, message) in GOLDEN_REJECTIONS {
+            let err = parse(doc).unwrap_err();
+            assert_eq!(
+                (err.line, err.column, err.message.as_str()),
+                (line, column, message),
+                "{doc:?}"
+            );
+            for jobs in 2..=4 {
+                assert_eq!(
+                    parse_par_min_chunk(doc, jobs, 1).unwrap_err(),
+                    err,
+                    "{doc:?}"
+                );
+            }
+        }
+    }
+
     fn sample_doc(lines: usize) -> String {
         let mut doc = String::new();
         for i in 0..lines {
@@ -608,5 +866,157 @@ mod tests {
         let seq = parse(&trimmed).unwrap();
         let par = parse_par_min_chunk(&trimmed, 5, 1).unwrap();
         assert_identical(&seq, &par);
+    }
+
+    mod differential {
+        use super::*;
+        use crate::turtle;
+        use proptest::prelude::*;
+        use std::collections::BTreeSet;
+
+        /// IRIs from a small universe, so terms and triples recur. Forms 1
+        /// and 2 spell the same IRI escaped and raw.
+        fn arb_iri() -> impl Strategy<Value = String> {
+            (0u8..8, 0u8..5).prop_map(|(i, form)| match form {
+                0 => format!("<http://e/n{i}>"),
+                1 => format!("<http://e/\\u00E9{i}>"),
+                2 => format!("<http://e/é{i}>"),
+                3 => format!("<http://e/\\U0001F600{i}\\u0020x>"),
+                _ => format!("<http://e/日本/{i}#frag>"),
+            })
+        }
+
+        fn arb_blank() -> impl Strategy<Value = String> {
+            (0u8..6, 0u8..4).prop_map(|(i, form)| match form {
+                0 => format!("_:b{i}"),
+                1 => format!("_:ü{i}"),
+                2 => format!("_:x_-{i}"),
+                _ => format!("_:日本{i}"),
+            })
+        }
+
+        const FRAGMENTS: &[&str] = &[
+            "a",
+            "ü",
+            "日本",
+            " ",
+            "x y",
+            "\\t",
+            "\\\"",
+            "\\\\",
+            "\\n",
+            "\\u00E9",
+            "\\U0001F600",
+        ];
+
+        fn arb_literal() -> impl Strategy<Value = String> {
+            (proptest::collection::vec(0..FRAGMENTS.len(), 0..4), 0u8..8).prop_map(
+                |(parts, suffix)| {
+                    let lexical: String = parts.iter().map(|&i| FRAGMENTS[i]).collect();
+                    let suffix = match suffix {
+                        0 => "@en",
+                        1 => "@EN-us",
+                        2 => "@de-CH-1996",
+                        3 => "^^<http://www.w3.org/2001/XMLSchema#integer>",
+                        4 => "^^<http://www.w3.org/2001/XMLSchema#string>",
+                        5 => "^^<http://e/dt\\u00E9>",
+                        _ => "",
+                    };
+                    format!("\"{lexical}\"{suffix}")
+                },
+            )
+        }
+
+        fn arb_object() -> impl Strategy<Value = String> {
+            prop_oneof![arb_iri(), arb_blank(), arb_literal(), arb_literal()]
+        }
+
+        fn arb_subject() -> impl Strategy<Value = String> {
+            prop_oneof![arb_iri(), arb_iri(), arb_blank()]
+        }
+
+        fn arb_triple_line() -> impl Strategy<Value = String> {
+            (arb_subject(), arb_iri(), arb_object(), 0u8..4).prop_map(|(s, p, o, layout)| {
+                match layout {
+                    0 => format!("{s} {p} {o} ."),
+                    1 => format!("{s}\t{p}\t{o}\t."),
+                    2 => format!("  {s}  {p} {o}. # trailing é"),
+                    _ => format!("{s} {p} {o} .#"),
+                }
+            })
+        }
+
+        fn arb_line() -> impl Strategy<Value = String> {
+            prop_oneof![
+                arb_triple_line(),
+                arb_triple_line(),
+                arb_triple_line(),
+                Just(String::new()),
+                Just("# comment ü".to_string()),
+                Just(" \t ".to_string()),
+            ]
+        }
+
+        /// A document in the common N-Triples/Turtle subset: LF or CRLF
+        /// per line, optional final newline, and its first lines repeated
+        /// at the end so duplicate triples occur for sure.
+        fn arb_doc() -> impl Strategy<Value = String> {
+            (
+                proptest::collection::vec((arb_line(), any::<bool>()), 0..60),
+                0usize..5,
+                any::<bool>(),
+            )
+                .prop_map(|(lines, repeat, trailing)| {
+                    let repeated: Vec<_> = lines.iter().take(repeat).cloned().collect();
+                    let mut doc = String::new();
+                    for (i, (line, crlf)) in lines.iter().chain(&repeated).enumerate() {
+                        if i > 0 {
+                            doc.push_str(if *crlf { "\r\n" } else { "\n" });
+                        }
+                        doc.push_str(line);
+                    }
+                    if trailing {
+                        doc.push('\n');
+                    }
+                    doc
+                })
+        }
+
+        type TermTriple = (Term, Term, Term);
+
+        fn contents(ds: &Dataset) -> (BTreeSet<Term>, BTreeSet<TermTriple>) {
+            let terms = ds.pool.iter().map(|(_, t)| t.clone()).collect();
+            let triples = ds
+                .graph
+                .triples()
+                .map(|t| {
+                    (
+                        ds.pool.term(t.subject).clone(),
+                        ds.pool.term(t.predicate).clone(),
+                        ds.pool.term(t.object).clone(),
+                    )
+                })
+                .collect();
+            (terms, triples)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// The byte scanner agrees with the Turtle parser on the
+            /// shared subset (escaped and raw spellings intern to one
+            /// term, tags are lowercased, duplicates collapse), and the
+            /// chunked parse is byte-identical to the sequential one with
+            /// seams landing on escapes and multibyte chars.
+            #[test]
+            fn ntriples_matches_turtle_and_chunks(doc in arb_doc()) {
+                let nt = parse(&doc).expect("generated docs are valid N-Triples");
+                let ttl = turtle::parse(&doc).expect("generated docs are valid Turtle");
+                prop_assert_eq!(contents(&nt), contents(&ttl));
+                for jobs in 2..=7 {
+                    assert_identical(&nt, &parse_par_min_chunk(&doc, jobs, 1).unwrap());
+                }
+            }
+        }
     }
 }

@@ -197,7 +197,18 @@ pub fn decode_string_escape(cur: &mut Cursor<'_>) -> Result<char, ParseError> {
     let c = cur
         .bump()
         .ok_or_else(|| cur.error("unterminated escape sequence"))?;
-    Ok(match c {
+    match c {
+        'u' => decode_unicode_escape(cur, 4),
+        'U' => decode_unicode_escape(cur, 8),
+        other => simple_escape(other)
+            .ok_or_else(|| cur.error(format!("invalid escape sequence '\\{other}'"))),
+    }
+}
+
+/// The char a one-letter string escape (`\t`, `\n`, `\"`, ...) stands
+/// for, given the letter after the backslash; `None` if it is not one.
+pub(crate) fn simple_escape(c: char) -> Option<char> {
+    Some(match c {
         't' => '\t',
         'b' => '\u{8}',
         'n' => '\n',
@@ -206,9 +217,7 @@ pub fn decode_string_escape(cur: &mut Cursor<'_>) -> Result<char, ParseError> {
         '"' => '"',
         '\'' => '\'',
         '\\' => '\\',
-        'u' => decode_unicode_escape(cur, 4)?,
-        'U' => decode_unicode_escape(cur, 8)?,
-        other => return Err(cur.error(format!("invalid escape sequence '\\{other}'"))),
+        _ => return None,
     })
 }
 

@@ -248,6 +248,61 @@ impl Term {
     }
 }
 
+/// A borrowed view of a [`Term`], field for field: the key the
+/// [`TermPool`](crate::pool::TermPool) hashes and compares, so looking a
+/// term up — or interning one already present — needs no owned copy.
+/// Parsers build it straight from slices of their input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TermRef<'a> {
+    /// An IRI's textual form.
+    Iri(&'a str),
+    /// A blank node's label (no `_:` prefix).
+    BlankNode(&'a str),
+    /// A literal. As in [`Literal`], `datatype` is `rdf:langString`
+    /// whenever `lang` is set, and `lang` is lowercase.
+    Literal {
+        /// The lexical form.
+        lexical: &'a str,
+        /// The datatype IRI.
+        datatype: &'a str,
+        /// The language tag, lowercase.
+        lang: Option<&'a str>,
+    },
+}
+
+impl TermRef<'_> {
+    /// The owned term this view describes.
+    pub fn to_term(self) -> Term {
+        match self {
+            TermRef::Iri(iri) => Term::iri(iri),
+            TermRef::BlankNode(label) => Term::blank(label),
+            TermRef::Literal {
+                lexical,
+                datatype,
+                lang,
+            } => Term::Literal(Literal {
+                lexical: lexical.into(),
+                datatype: datatype.into(),
+                lang: lang.map(Into::into),
+            }),
+        }
+    }
+}
+
+impl<'a> From<&'a Term> for TermRef<'a> {
+    fn from(term: &'a Term) -> Self {
+        match term {
+            Term::Iri(iri) => TermRef::Iri(iri.as_str()),
+            Term::BlankNode(b) => TermRef::BlankNode(b.label()),
+            Term::Literal(l) => TermRef::Literal {
+                lexical: &l.lexical,
+                datatype: &l.datatype,
+                lang: l.lang.as_deref(),
+            },
+        }
+    }
+}
+
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -334,6 +389,24 @@ mod tests {
         assert_eq!(
             Literal::boolean(false).datatype(),
             "http://www.w3.org/2001/XMLSchema#boolean"
+        );
+    }
+
+    #[test]
+    fn term_ref_round_trips() {
+        for t in [
+            Term::iri("http://e/a"),
+            Term::blank("b0"),
+            Term::Literal(Literal::string("x")),
+            Term::Literal(Literal::integer(7)),
+            Term::Literal(Literal::lang_string("Hallo", "DE")),
+        ] {
+            let r = TermRef::from(&t);
+            assert_eq!(r.to_term(), t);
+        }
+        assert_ne!(
+            TermRef::from(&Term::iri("x")),
+            TermRef::from(&Term::blank("x"))
         );
     }
 
