@@ -13,27 +13,13 @@
 //! disabled claim is about (timings are medians of a few reps; expect
 //! noise, not statistics).
 
-use std::time::Instant;
-
 use serde_json::Value;
 use shapex::{Engine, EngineConfig};
-use shapex_bench::DerivativeRun;
+use shapex_bench::{median_us, time_us, DerivativeRun};
 use shapex_shex::shexc;
 use shapex_workloads::{balanced_ab, example8_neighbourhood, person_network, Topology, Workload};
 
 const REPS: usize = 5;
-
-fn median_us(mut f: impl FnMut()) -> u64 {
-    let mut samples: Vec<u128> = (0..REPS)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_micros()
-        })
-        .collect();
-    samples.sort();
-    samples[REPS / 2] as u64
-}
 
 fn shape_labels(engine: &Engine) -> impl Fn(usize) -> String + '_ {
     |i| {
@@ -48,7 +34,7 @@ fn shape_labels(engine: &Engine) -> impl Fn(usize) -> String + '_ {
 /// the stats and metrics blocks from the final metered pass.
 fn sequential_case(name: &str, workload: impl Fn() -> Workload, config: EngineConfig) -> Value {
     let mut off = DerivativeRun::prepare(workload(), config);
-    let off_us = median_us(|| {
+    let off_us = median_us(REPS, || {
         off.validate_all();
     });
     let mut on = DerivativeRun::prepare(
@@ -58,7 +44,7 @@ fn sequential_case(name: &str, workload: impl Fn() -> Workload, config: EngineCo
             ..config
         },
     );
-    let on_us = median_us(|| {
+    let on_us = median_us(REPS, || {
         on.validate_all();
     });
     on.validate_all();
@@ -93,14 +79,17 @@ fn parallel_case(jobs: usize) -> Value {
         },
     )
     .expect("workload schema compiles");
-    let t = Instant::now();
-    let typing = engine.type_all_par(&w.dataset.graph, &w.dataset.pool, jobs);
-    let elapsed_us = t.elapsed().as_micros() as u64;
+    let mut typed_pairs = 0;
+    let elapsed_us = time_us(|| {
+        typed_pairs = engine
+            .type_all_par(&w.dataset.graph, &w.dataset.pool, jobs)
+            .len();
+    });
     let metrics = engine.metrics().expect("metrics enabled");
     serde_json::json!({
         "name": "person_network_800_full_typing",
         "jobs": jobs,
-        "typed_pairs": typing.len(),
+        "typed_pairs": typed_pairs,
         "elapsed_us": elapsed_us,
         "waves": metrics.waves.len(),
         "stats": engine.stats().to_json(),

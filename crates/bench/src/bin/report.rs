@@ -9,10 +9,8 @@
 //! median of a few repetitions per cell, which is plenty for the
 //! order-of-magnitude shapes the paper's claims are about.
 
-use std::time::Instant;
-
 use shapex::{EngineConfig, Simplify};
-use shapex_bench::{parse_schema, BacktrackRun, DerivativeRun};
+use shapex_bench::{median_us, parse_schema, BacktrackRun, DerivativeRun};
 use shapex_shex::ast::ShapeLabel;
 use shapex_shex::strre::{backtrack_match, Regex};
 use shapex_workloads::{
@@ -37,19 +35,6 @@ fn main() {
 
 const REPS: usize = 5;
 
-/// Median wall time of `REPS` runs, in microseconds.
-fn time_us(mut f: impl FnMut()) -> u128 {
-    let mut samples: Vec<u128> = (0..REPS)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_micros()
-        })
-        .collect();
-    samples.sort();
-    samples[REPS / 2]
-}
-
 fn derivative_config() -> EngineConfig {
     EngineConfig {
         no_sorbe: true,
@@ -57,7 +42,7 @@ fn derivative_config() -> EngineConfig {
     }
 }
 
-fn us(v: u128) -> String {
+fn us(v: u64) -> String {
     if v >= 100_000 {
         format!("{:.1} ms", v as f64 / 1000.0)
     } else {
@@ -67,7 +52,7 @@ fn us(v: u128) -> String {
 
 fn derivative_cell(w: impl Fn() -> Workload, config: EngineConfig) -> String {
     let mut run = DerivativeRun::prepare(w(), config);
-    us(time_us(|| {
+    us(median_us(REPS, || {
         run.validate_all();
     }))
 }
@@ -78,7 +63,7 @@ fn backtracking_cell(w: impl Fn() -> Workload, budget: u64) -> (String, String) 
     let run = BacktrackRun::prepare(w(), shapex::Budget::steps(budget));
     match run.validate_all() {
         Ok(_) => {
-            let t = us(time_us(|| {
+            let t = us(median_us(REPS, || {
                 run.validate_all().expect("within budget");
             }));
             run.validator.reset_stats();
@@ -120,7 +105,7 @@ fn e3() {
     println!("|---:|---:|---:|---:|");
     for n in [10usize, 100, 1_000, 10_000, 100_000] {
         let mut run = DerivativeRun::prepare(example8_neighbourhood(n), derivative_config());
-        let t = time_us(|| {
+        let t = median_us(REPS, || {
             run.validate_all();
         });
         let s = derivative_cell(|| example8_neighbourhood(n), EngineConfig::default());
@@ -135,7 +120,7 @@ fn e4() {
     println!("|---:|---:|---:|---:|");
     for pairs in [4usize, 8, 16, 32, 64] {
         let mut run = DerivativeRun::prepare(balanced_ab(pairs), EngineConfig::default());
-        let t = time_us(|| {
+        let t = median_us(REPS, || {
             run.validate_all();
         });
         run.validate_all();
@@ -181,7 +166,7 @@ fn e5() {
                 ..w
             };
             let mut run = DerivativeRun::prepare(w2, derivative_config());
-            us(time_us(|| {
+            us(median_us(REPS, || {
                 run.validate_all();
             }))
         };
@@ -208,7 +193,7 @@ fn e6() {
         ] {
             let mut run =
                 DerivativeRun::prepare(person_network(n, topology, 0.1, 42), derivative_config());
-            let t = time_us(|| {
+            let t = median_us(REPS, || {
                 run.validate_all();
             });
             let reruns = run.engine.stats().gfp_reruns;
@@ -247,12 +232,12 @@ fn e7() {
                 shapex_sparql::parser::parse(&q).unwrap()
             })
             .collect();
-        let eval_t = us(time_us(|| {
+        let eval_t = us(median_us(REPS, || {
             for q in &queries {
                 let _ = shapex_sparql::ask(q, &w.dataset.graph, &w.dataset.pool).unwrap();
             }
         }));
-        let full_t = us(time_us(|| {
+        let full_t = us(median_us(REPS, || {
             for iri in &w.focus {
                 let q = shapex_sparql::generate_node_ask(&schema, &label, iri).unwrap();
                 let parsed = shapex_sparql::parser::parse(&q).unwrap();
@@ -271,14 +256,14 @@ fn e8() {
     let re = Regex::new("(a|aa)*").unwrap();
     for n in [8usize, 16, 24, 28, 32] {
         let input = "a".repeat(n) + "b";
-        let d = us(time_us(|| {
+        let d = us(median_us(REPS, || {
             assert!(!re.is_match(&input));
         }));
-        let m = us(time_us(|| {
+        let m = us(median_us(REPS, || {
             assert!(!re.is_match_memo(&input));
         }));
         let bt = if n <= 28 {
-            us(time_us(|| {
+            us(median_us(REPS, || {
                 assert!(!backtrack_match(re.ast(), &input));
             }))
         } else {
@@ -321,7 +306,7 @@ fn e9() {
     for (name, config) in &configs {
         let a = derivative_cell(|| example8_neighbourhood(256), *config);
         let mut run10 = DerivativeRun::prepare(balanced_ab(8), *config);
-        let b = us(time_us(|| {
+        let b = us(median_us(REPS, || {
             run10.validate_all();
         }));
         run10.validate_all();
@@ -341,7 +326,7 @@ fn e9() {
             ..EngineConfig::default()
         },
     );
-    let t = us(time_us(|| {
+    let t = us(median_us(REPS, || {
         run.validate_all();
     }));
     run.validate_all();

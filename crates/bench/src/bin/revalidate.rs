@@ -16,13 +16,11 @@
 //! incremental engine, revalidated back) so every sample starts from the
 //! same warm pre-delta state. The two strategies are sampled interleaved
 //! and the reported timing is the minimum over the reps, medians alongside
-//! (same rationale as the DFA bench: the work is deterministic, the
-//! minimum is the least-disturbed run).
-
-use std::time::Instant;
+//! (the work is deterministic, so the minimum is the least-disturbed run).
 
 use serde_json::Value;
 use shapex::{Engine, EngineConfig};
+use shapex_bench::{min_median, time_us};
 use shapex_rdf::delta::GraphDelta;
 use shapex_rdf::graph::{Dataset, Triple};
 use shapex_rdf::term::{Literal, Term};
@@ -91,11 +89,6 @@ fn make_delta(ds: &mut Dataset, fraction: f64) -> GraphDelta {
 }
 
 /// `(min, median)` of a sample vector, in microseconds.
-fn min_median(mut samples: Vec<u128>) -> (u64, u64) {
-    samples.sort();
-    (samples[0] as u64, samples[samples.len() / 2] as u64)
-}
-
 /// One workload across all delta fractions: per fraction, warm full-reset
 /// and revalidate timings plus the invalidation counters from a metered
 /// revalidate pass.
@@ -137,16 +130,16 @@ fn case(name: &str, workload: Workload) -> Value {
         let mut inc_samples = Vec::with_capacity(REPS);
         for _ in 0..REPS {
             let applied = ds.apply_delta(&delta);
-            let t = Instant::now();
-            full.reset();
-            full.type_all(&ds.graph, &ds.pool);
-            full_samples.push(t.elapsed().as_micros());
+            full_samples.push(time_us(|| {
+                full.reset();
+                full.type_all(&ds.graph, &ds.pool);
+            }));
             ds.revert_delta(&applied);
 
             let applied = ds.apply_delta(&delta);
-            let t = Instant::now();
-            inc.revalidate(&ds.graph, &ds.pool, &delta).unwrap();
-            inc_samples.push(t.elapsed().as_micros());
+            inc_samples.push(time_us(|| {
+                inc.revalidate(&ds.graph, &ds.pool, &delta).unwrap();
+            }));
             ds.revert_delta(&applied);
             // Restore the warm pre-delta state (untimed).
             inc.revalidate(&ds.graph, &ds.pool, &inverse).unwrap();

@@ -20,10 +20,9 @@
 //! revalidate bench: the work is deterministic, the minimum is the
 //! least-disturbed run).
 
-use std::time::Instant;
-
 use serde_json::Value;
 use shapex::{schema_diff, Budget, Engine, EngineConfig};
+use shapex_bench::{min_median, time_us};
 use shapex_rdf::graph::Dataset;
 use shapex_rdf::term::{Literal, Term};
 
@@ -64,11 +63,6 @@ fn dataset() -> Dataset {
 }
 
 /// `(min, median)` of a sample vector, in microseconds.
-fn min_median(mut samples: Vec<u128>) -> (u64, u64) {
-    samples.sort();
-    (samples[0] as u64, samples[samples.len() / 2] as u64)
-}
-
 fn case(fraction: f64) -> Value {
     let churned = ((SHAPES as f64 * fraction).round() as usize).clamp(1, SHAPES);
     let old = shapex_shex::shexc::parse(&schema_src(0)).expect("old schema parses");
@@ -101,24 +95,24 @@ fn case(fraction: f64) -> Value {
     let mut scratch_samples = Vec::with_capacity(REPS);
     let mut delta_samples = Vec::with_capacity(REPS);
     for _ in 0..REPS {
-        let t = Instant::now();
-        let mut e = Engine::compile(&new, &mut ds.pool, config).expect("compiles");
-        e.type_all(&ds.graph, &ds.pool);
-        scratch_samples.push(t.elapsed().as_micros());
+        scratch_samples.push(time_us(|| {
+            let mut e = Engine::compile(&new, &mut ds.pool, config).expect("compiles");
+            e.type_all(&ds.graph, &ds.pool);
+        }));
 
-        let t = Instant::now();
-        let diff = schema_diff(
-            &old,
-            &new,
-            config.simplify,
-            config.closure,
-            &Budget::UNLIMITED,
-        )
-        .expect("diff");
-        let mut e = Engine::compile(&new, &mut ds.pool, config).expect("compiles");
-        e.transplant_verdicts(&old_engine, &diff.reusable);
-        e.type_all(&ds.graph, &ds.pool);
-        delta_samples.push(t.elapsed().as_micros());
+        delta_samples.push(time_us(|| {
+            let diff = schema_diff(
+                &old,
+                &new,
+                config.simplify,
+                config.closure,
+                &Budget::UNLIMITED,
+            )
+            .expect("diff");
+            let mut e = Engine::compile(&new, &mut ds.pool, config).expect("compiles");
+            e.transplant_verdicts(&old_engine, &diff.reusable);
+            e.type_all(&ds.graph, &ds.pool);
+        }));
     }
     let (scratch_us, scratch_median_us) = min_median(scratch_samples);
     let (delta_us, delta_median_us) = min_median(delta_samples);

@@ -1,6 +1,8 @@
 //! Shared helpers for the benchmark harness (see EXPERIMENTS.md for the
 //! experiment ↔ bench mapping).
 
+use std::time::Instant;
+
 use shapex::{Engine, EngineConfig, ShapeId};
 use shapex_backtrack::{BacktrackValidator, BtConfig, BtError};
 use shapex_rdf::pool::TermId;
@@ -128,4 +130,22 @@ impl BacktrackRun {
 /// Parses a workload's schema (for SPARQL generation paths).
 pub fn parse_schema(w: &Workload) -> Schema {
     shexc::parse(&w.schema).expect("workload schema parses")
+}
+
+/// Wall time of one call of `f`, in microseconds.
+pub fn time_us(f: impl FnOnce()) -> u64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_micros() as u64
+}
+
+/// The fastest and the median of a set of timing samples.
+pub fn min_median(mut samples: Vec<u64>) -> (u64, u64) {
+    samples.sort_unstable();
+    (samples[0], samples[samples.len() / 2])
+}
+
+/// Median wall time of `reps` calls of `f`, in microseconds.
+pub fn median_us(reps: usize, mut f: impl FnMut()) -> u64 {
+    min_median((0..reps).map(|_| time_us(&mut f)).collect()).1
 }

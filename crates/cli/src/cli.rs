@@ -11,16 +11,14 @@ use shapex::{
 };
 use shapex_backtrack::{BacktrackValidator, BtConfig, BtError};
 use shapex_rdf::graph::Dataset;
-use shapex_rdf::ntriples;
 use shapex_rdf::pool::TermPool;
-use shapex_rdf::turtle;
-use shapex_rdf::writer;
+use shapex_rdf::{turtle, writer, DataFormat};
 use shapex_shex::ast::ShapeLabel;
 use shapex_shex::sat::Sat3;
 use shapex_shex::schema::Schema;
 use shapex_shex::shexc;
 
-use crate::report::{self, finish_engine_doc, push_typing_rows, ReportDoc};
+use crate::report::{self, finish_engine_doc, Exit, ReportDoc, RunReport};
 
 /// A failed command, split so the binary can exit with a distinct code
 /// when a resource budget tripped (partial results still printed).
@@ -85,6 +83,21 @@ impl From<String> for CliError {
     }
 }
 
+/// Maps a run's [`Exit`] to the command result: `Ok` for exit 0, the
+/// matching error variant (still carrying `output`) for exits 2 and 3.
+fn exit_with(exit: Exit, output: String) -> Result<String, CliError> {
+    match exit {
+        Exit::Conforms => Ok(output),
+        Exit::NonConforming => Err(CliError::NonConforming { output }),
+        Exit::Exhausted(exhaustion) => Err(CliError::Exhausted { output, exhaustion }),
+    }
+}
+
+/// [`exit_with`] for a sealed report document.
+fn finish(report: RunReport) -> Result<String, CliError> {
+    exit_with(report.exit, report.body)
+}
+
 /// Runs a command line, returning the output to print.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let mut it = args.iter().map(String::as_str);
@@ -129,8 +142,6 @@ USAGE:
       --map FILE                         shape map of node@<Shape> associations
       --open                             ShEx-style open shapes (default: closed, as in the paper)
       --no-sorbe                         disable the SORBE counting fast path
-      --no-dfa                           disable the lazy shape DFA (fall back to the
-                                         hash-map derivative memo; results are identical)
       --prune                            drop provably-empty alternation branches after
                                          compilation (DESIGN.md §5f; language-preserving,
                                          results are identical)
@@ -257,8 +268,29 @@ impl Flags {
 }
 
 fn parse_flags<'a>(it: impl Iterator<Item = &'a str>) -> Result<Flags, String> {
-    const SWITCHES: [&str; 8] = [
-        "open", "explain", "stats", "no-sorbe", "no-dfa", "trace", "lenient", "prune",
+    const SWITCHES: [&str; 6] = ["open", "explain", "stats", "no-sorbe", "lenient", "prune"];
+    const VALUES: [&str; 21] = [
+        "schema",
+        "data",
+        "engine",
+        "node",
+        "shape",
+        "map",
+        "report",
+        "max-steps",
+        "max-depth",
+        "max-arena",
+        "timeout-ms",
+        "jobs",
+        "delta",
+        "schema-delta",
+        "addr",
+        "workers",
+        "queue",
+        "query",
+        "ask",
+        "select",
+        "to",
     ];
     let mut it = it.peekable();
     let mut flags = Flags {
@@ -314,11 +346,13 @@ fn parse_flags<'a>(it: impl Iterator<Item = &'a str>) -> Result<Flags, String> {
                 .push(("containment-b".to_string(), b.to_string()));
         } else if SWITCHES.contains(&name) {
             flags.switches.push(name.to_string());
-        } else {
+        } else if VALUES.contains(&name) {
             let value = it
                 .next()
                 .ok_or_else(|| format!("flag --{name} needs a value"))?;
             flags.values.push((name.to_string(), value.to_string()));
+        } else {
+            return Err(format!("unknown flag --{name}"));
         }
     }
     Ok(flags)
@@ -340,9 +374,8 @@ fn load_schema(flags: &Flags) -> Result<Schema, String> {
     shexc::parse(&src).map_err(|e| format!("{path}:{e}"))
 }
 
-/// Loads the data file. Files ending in `.nt` are parsed as strict
-/// N-Triples on `--jobs` worker threads ([`ntriples::parse_par`], which is
-/// byte-identical to the sequential parse); everything else is Turtle.
+/// Loads the data file in the format its path names
+/// ([`DataFormat::from_path`]; N-Triples parse on `--jobs` threads).
 /// With `--lenient` (Turtle only), malformed statements are skipped
 /// (recovering at the next `.` boundary) and the skipped count is
 /// returned; without it the first syntax error aborts the load. The count
@@ -350,21 +383,18 @@ fn load_schema(flags: &Flags) -> Result<Schema, String> {
 fn load_data(flags: &Flags) -> Result<(Dataset, usize), String> {
     let path = flags.require("data")?;
     let src = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    if path.ends_with(".nt") {
-        if flags.has("lenient") {
+    let format = DataFormat::from_path(path);
+    if flags.has("lenient") {
+        if format == DataFormat::NTriples {
             return Err("--lenient is not supported for N-Triples input".into());
         }
-        let jobs = jobs_from_flags(flags)?;
-        let ds = ntriples::parse_par(&src, jobs).map_err(|e| format!("{path}:{e}"))?;
-        return Ok((ds, 0));
-    }
-    if flags.has("lenient") {
         let (ds, errors) = turtle::parse_lenient(&src);
-        Ok((ds, errors.len()))
-    } else {
-        let ds = turtle::parse(&src).map_err(|e| format!("{path}:{e}"))?;
-        Ok((ds, 0))
+        return Ok((ds, errors.len()));
     }
+    let ds = format
+        .parse(&src, jobs_from_flags(flags)?)
+        .map_err(|e| format!("{path}:{e}"))?;
+    Ok((ds, 0))
 }
 
 /// Builds the validation [`Budget`] from `--max-steps`, `--max-depth`,
@@ -455,47 +485,9 @@ fn validate_delta(
     let src = fs::read_to_string(delta_path).map_err(|e| format!("reading {delta_path}: {e}"))?;
     let delta =
         shapex_rdf::delta::parse(&src, &mut ds.pool).map_err(|e| format!("{delta_path}:{e}"))?;
-
-    // Before: a plain full typing of the unmutated graph. This run also
-    // records the dependency index the revalidation consumes.
-    let before_typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
-    let mut before_doc = ReportDoc::new("typing", "derivative");
-    push_typing_rows(&mut before_doc, engine, &ds.graph, &ds.pool, &before_typing);
-    let before = before_doc.finish((!before_typing.is_partial()).then_some(true));
-
-    // After: mutate the graph and re-type only the disturbed frontier.
-    ds.apply_delta(&delta);
-    let after_typing = engine
-        .revalidate_par(&ds.graph, &ds.pool, &delta, jobs)
-        .map_err(|e| engine_err("", e))?;
-    let mut after_doc = ReportDoc::new("typing", "derivative");
-    push_typing_rows(&mut after_doc, engine, &ds.graph, &ds.pool, &after_typing);
-    let after = after_doc.finish((!after_typing.is_partial()).then_some(true));
-
-    let stats = engine.stats();
-    let mut doc = ReportDoc::new("delta", "derivative");
-    doc.set(
-        "delta",
-        serde_json::json!({
-            "file": delta_path,
-            "added": delta.added.len(),
-            "removed": delta.removed.len(),
-            "invalidated": stats.invalidated_pairs,
-            "retyped": stats.retyped_pairs,
-            "reused": stats.reused_pairs,
-        }),
-    );
-    doc.set("before", before);
-    doc.set("after", after);
-    let conforms = (!after_typing.is_partial()).then_some(true);
-    let output = finish_engine_doc(doc, engine, skipped, conforms);
-    if after_typing.is_partial() {
-        return Err(CliError::Exhausted {
-            output,
-            exhaustion: after_typing.exhausted[0].2,
-        });
-    }
-    Ok(output)
+    let report = report::delta_report(engine, ds, &delta, jobs, Some(delta_path), skipped, || {})
+        .map_err(|e| e.to_string())?;
+    finish(report)
 }
 
 /// The `serve` subcommand: loads the schema/data pair as entry
@@ -550,7 +542,7 @@ fn serve(flags: &Flags) -> Result<String, CliError> {
             schema_src,
             shapex_server::registry::SchemaFormat::Shex,
             data_src,
-            shapex_server::registry::DataFormat::from_path(data_path),
+            DataFormat::from_path(data_path),
             config.engine_config(),
             config.jobs,
         )
@@ -594,11 +586,9 @@ fn validate_shacl(flags: &Flags) -> Result<String, CliError> {
     let shapes_path = flags.get("shacl").expect("dispatched on --shacl");
     let shapes_src =
         fs::read_to_string(shapes_path).map_err(|e| format!("reading {shapes_path}: {e}"))?;
-    let shapes = if shapes_path.ends_with(".nt") {
-        ntriples::parse(&shapes_src).map_err(|e| format!("{shapes_path}:{e}"))?
-    } else {
-        turtle::parse(&shapes_src).map_err(|e| format!("{shapes_path}:{e}"))?
-    };
+    let shapes = DataFormat::from_path(shapes_path)
+        .parse(&shapes_src, 1)
+        .map_err(|e| format!("{shapes_path}:{e}"))?;
     let (mut ds, skipped) = load_data(flags)?;
     let report = report_from_flags(flags)?;
     let config = EngineConfig {
@@ -606,14 +596,13 @@ fn validate_shacl(flags: &Flags) -> Result<String, CliError> {
         // closure; the validator forces it regardless of --open.
         closure: Closure::Open,
         no_sorbe: flags.has("no-sorbe"),
-        no_dfa: flags.has("no-dfa"),
         prune: flags.has("prune"),
         budget: budget_from_flags(flags)?,
         metrics: report,
         ..EngineConfig::default()
     };
-    let schema = shapex_shacl::compile(&shapes)
-        .map_err(|e| CliError::Msg(format!("{shapes_path}: {e}")))?;
+    let schema =
+        shapex_shacl::compile(&shapes).map_err(|e| CliError::Msg(format!("{shapes_path}: {e}")))?;
     let mut validator = shapex_shacl::ShaclValidator::new(schema, &mut ds.pool, config)
         .map_err(|e| CliError::Msg(e.to_string()))?;
     let outcome = validator.validate_par(&mut ds, jobs_from_flags(flags)?);
@@ -630,14 +619,7 @@ fn validate_shacl(flags: &Flags) -> Result<String, CliError> {
     if !report && flags.has("stats") {
         let _ = writeln!(output, "stats: {}", validator.engine().stats());
     }
-    match outcome.conforms() {
-        Some(true) => Ok(output),
-        Some(false) => Err(CliError::NonConforming { output }),
-        None => Err(CliError::Exhausted {
-            exhaustion: outcome.exhausted[0].exhaustion,
-            output,
-        }),
-    }
+    exit_with(outcome.exit(), output)
 }
 
 fn validate(flags: &Flags) -> Result<String, CliError> {
@@ -663,9 +645,8 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                     Closure::Closed
                 },
                 no_sorbe: flags.has("no-sorbe"),
-                no_dfa: flags.has("no-dfa"),
                 prune: flags.has("prune"),
-                        budget,
+                budget,
                 // A JSON report always carries the metrics block.
                 metrics: report,
                 // Dependency recording is only paid for when a delta run
@@ -686,12 +667,14 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                 let outcomes = engine
                     .validate_map(&ds.graph, &mut ds.pool, &map)
                     .map_err(|e| e.to_string())?;
-                let mut ok = 0;
-                let mut first_exhaustion = None;
+                if report {
+                    return finish(report::map_report(
+                        &engine, &ds.pool, &map, &outcomes, skipped,
+                    ));
+                }
                 for outcome in &outcomes {
                     let assoc = &map.associations[outcome.index];
-                    let verdict = if let Some(e) = outcome.exhaustion {
-                        first_exhaustion.get_or_insert(e);
+                    let verdict = if outcome.exhaustion.is_some() {
                         "EXHAUSTED"
                     } else if outcome.conforms {
                         "conforms"
@@ -719,65 +702,16 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                             let _ = writeln!(out, "    because: {}", f.render(&ds.pool));
                         }
                     }
-                    ok += usize::from(outcome.exhaustion.is_none() && outcome.as_expected);
                 }
+                let ok = outcomes
+                    .iter()
+                    .filter(|o| o.exhaustion.is_none() && o.as_expected)
+                    .count();
                 let _ = writeln!(out, "{ok}/{} associations as expected", outcomes.len());
-                if report {
-                    let mut doc = ReportDoc::new("map", "derivative");
-                    for outcome in &outcomes {
-                        let assoc = &map.associations[outcome.index];
-                        let verdict = if outcome.exhaustion.is_some() {
-                            "exhausted"
-                        } else if outcome.conforms {
-                            "conforms"
-                        } else {
-                            "fails"
-                        };
-                        let mut row = report::result_json(
-                            &assoc.node.to_string(),
-                            assoc.shape.as_str(),
-                            verdict,
-                            outcome.failure.as_ref().map(|f| f.render(&ds.pool)),
-                            outcome.exhaustion.as_ref(),
-                        );
-                        if let Value::Object(m) = &mut row {
-                            m.insert("expected".to_string(), Value::from(assoc.expected));
-                            m.insert("as_expected".to_string(), Value::from(outcome.as_expected));
-                        }
-                        doc.push_result(row);
-                        if let Some(e) = &outcome.exhaustion {
-                            doc.push_exhausted(&assoc.node.to_string(), assoc.shape.as_str(), e);
-                        }
-                    }
-                    let conforms = match first_exhaustion {
-                        Some(_) => None,
-                        None => Some(ok == outcomes.len()),
-                    };
-                    let output = finish_engine_doc(doc, &engine, skipped, conforms);
-                    if let Some(exhaustion) = first_exhaustion {
-                        return Err(CliError::Exhausted { output, exhaustion });
-                    }
-                    if ok < outcomes.len() {
-                        return Err(CliError::NonConforming { output });
-                    }
-                    return Ok(output);
-                }
                 if flags.has("stats") {
                     let _ = writeln!(out, "stats: {}", engine.stats());
                 }
-                // Exhaustion outranks non-conformance: with any check
-                // unanswered the run is partial, and unexpected verdicts
-                // might flip under a larger budget.
-                if let Some(exhaustion) = first_exhaustion {
-                    return Err(CliError::Exhausted {
-                        output: out,
-                        exhaustion,
-                    });
-                }
-                if ok < outcomes.len() {
-                    return Err(CliError::NonConforming { output: out });
-                }
-                return Ok(out);
+                return exit_with(Exit::of_map(&outcomes), out);
             }
             match (flags.get("node"), flags.get("shape")) {
                 (Some(node_iri), Some(shape)) => {
@@ -859,20 +793,13 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                 (None, None) => {
                     let typing = engine.type_all_par(&ds.graph, &ds.pool, jobs_from_flags(flags)?);
                     if report {
-                        let mut doc = ReportDoc::new("typing", "derivative");
-                        push_typing_rows(&mut doc, &mut engine, &ds.graph, &ds.pool, &typing);
-                        // A completed typing "conforms" in the exit-code
-                        // sense (0 = ran to completion); partial runs have
-                        // no verdict.
-                        let conforms = (!typing.is_partial()).then_some(true);
-                        let output = finish_engine_doc(doc, &engine, skipped, conforms);
-                        if typing.is_partial() {
-                            return Err(CliError::Exhausted {
-                                output,
-                                exhaustion: typing.exhausted[0].2,
-                            });
-                        }
-                        return Ok(output);
+                        return finish(report::typing_report(
+                            &mut engine,
+                            &ds.graph,
+                            &ds.pool,
+                            &typing,
+                            skipped,
+                        ));
                     }
                     let rendered = typing.render(&ds.pool, &|s| engine.label_of(s).clone());
                     if rendered.is_empty() {
@@ -908,7 +835,6 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                             "PARTIAL: {} (node, shape) check(s) exhausted their budget:",
                             typing.exhausted.len()
                         );
-                        let first = typing.exhausted[0].2;
                         for &(node, shape, e) in &typing.exhausted {
                             let _ = writeln!(
                                 out,
@@ -917,14 +843,11 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                                 engine.label_of(shape)
                             );
                         }
-                        if flags.has("stats") {
-                            let _ = writeln!(out, "stats: {}", engine.stats());
-                        }
-                        return Err(CliError::Exhausted {
-                            output: out,
-                            exhaustion: first,
-                        });
                     }
+                    if flags.has("stats") {
+                        let _ = writeln!(out, "stats: {}", engine.stats());
+                    }
+                    return exit_with(Exit::of_typing(&typing), out);
                 }
                 _ => {
                     return Err(CliError::Msg(
@@ -1314,16 +1237,14 @@ fn check_schema_delta(
             m.insert("transplanted".to_string(), Value::from(transplanted));
         }
         doc.set("schema_delta", delta);
-        push_typing_rows(&mut doc, &mut engine, &ds.graph, &ds.pool, &typing);
-        let conforms = (!typing.is_partial()).then_some(true);
-        let output = finish_engine_doc(doc, &engine, skipped, conforms);
-        if typing.is_partial() {
-            return Err(CliError::Exhausted {
-                output,
-                exhaustion: typing.exhausted[0].2,
-            });
-        }
-        return Ok(output);
+        return finish(report::seal_typing(
+            doc,
+            &mut engine,
+            &ds.graph,
+            &ds.pool,
+            &typing,
+            skipped,
+        ));
     }
     let _ = writeln!(out, "transplanted: {transplanted} verdict(s)");
     let rendered = typing.render(&ds.pool, &|s| engine.label_of(s).clone());
@@ -1341,12 +1262,8 @@ fn check_schema_delta(
             "PARTIAL: {} (node, shape) check(s) exhausted their budget",
             typing.exhausted.len()
         );
-        return Err(CliError::Exhausted {
-            output: out,
-            exhaustion: typing.exhausted[0].2,
-        });
     }
-    Ok(out)
+    exit_with(Exit::of_typing(&typing), out)
 }
 
 fn convert(flags: &Flags) -> Result<String, String> {
@@ -1676,7 +1593,7 @@ mod tests {
         // --report json always collects metrics; the serialized block
         // preserves the cache invariant lookups == hits + misses.
         let metrics = v.get("metrics").expect("metrics block present");
-        for cache in ["profile_stable", "profile_assumption", "deriv_memo"] {
+        for cache in ["profile_stable", "profile_assumption", "dfa_table"] {
             let c = metrics.get(cache).unwrap();
             let field = |k: &str| c.get(k).and_then(|n| n.as_u64()).unwrap();
             assert_eq!(field("lookups"), field("hits") + field("misses"), "{cache}");
@@ -2099,30 +2016,29 @@ mod tests {
     }
 
     #[test]
-    fn no_dfa_flag_agrees() {
-        // The lazy DFA is a pure lookup-structure swap: conformance output
-        // must be byte-identical with and without it, including when the
-        // SORBE fast path is also off and the derivative engine does all
-        // the work.
+    fn unknown_flags_are_rejected() {
+        // A misspelled budget flag must not run unbudgeted, and the retired
+        // DFA switch must not swallow the argument after it.
         let (schema, data) = person_files();
-        let with_dfa = run_ok(&[
+        let retired = concat!("--no-", "dfa");
+        for bad in [&["--max-step", "1"][..], &[retired, "--report", "json"][..]] {
+            let mut args = vec!["validate", "--schema", &schema, "--data", &data];
+            args.extend_from_slice(bad);
+            let err = run_err(&args);
+            assert_eq!(err, format!("unknown flag {}", bad[0]), "{args:?}");
+        }
+        // The correctly spelled flag still trips the budget.
+        let err = run_raw(&[
             "validate",
             "--schema",
             &schema,
             "--data",
             &data,
-            "--no-sorbe",
-        ]);
-        let without = run_ok(&[
-            "validate",
-            "--schema",
-            &schema,
-            "--data",
-            &data,
-            "--no-sorbe",
-            "--no-dfa",
-        ]);
-        assert_eq!(with_dfa, without);
+            "--max-steps",
+            "1",
+        ])
+        .unwrap_err();
+        assert!(matches!(err, CliError::Exhausted { .. }), "{err}");
     }
 
     #[test]

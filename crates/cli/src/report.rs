@@ -8,9 +8,7 @@
 use serde_json::{json, Value};
 use shapex_backtrack::BtStats;
 
-pub use shapex::report::{
-    finish_engine_doc, push_typing_rows, render, result_json, trace_json, ReportDoc,
-};
+pub use shapex::report::*;
 
 pub fn bt_stats_json(s: &BtStats) -> Value {
     json!({

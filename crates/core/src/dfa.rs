@@ -20,10 +20,8 @@
 //!
 //! The table is **lazy**: cells start at a sentinel and are filled the
 //! first time the engine actually computes that `(state, class)`
-//! derivative, so fills coincide exactly with the `--no-dfa` HashMap
-//! memo's misses. That coincidence is what keeps the two paths
-//! byte-identical (same derivative steps, same budget charging, same
-//! exhaustion points); only the lookup structure differs.
+//! derivative: one fill per memo miss, so derivative steps and budget
+//! charging count exactly what a `(expression, class)` memo would.
 //!
 //! Sharing across [`type_all_par`](crate::Engine::type_all_par) shards
 //! goes through fill logs: workers fork a read-mostly snapshot of the

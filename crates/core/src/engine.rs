@@ -61,12 +61,6 @@ pub struct EngineConfig {
     /// disables the lazy DFA too — the transition table *is* the
     /// derivative memo in dense clothing.
     pub no_deriv_memo: bool,
-    /// Fall back from the dense lazy-DFA transition tables to the
-    /// `(expression, profile)` HashMap derivative memo (see
-    /// [`crate::dfa`]). The two paths are byte-identical in results,
-    /// step counts, and budget behaviour; this flag exists for the
-    /// differential tests and the `BENCH_dfa` baseline.
-    pub no_dfa: bool,
     /// Disable the SORBE counting fast path (§8 future work; see
     /// [`crate::sorbe`]), forcing the general derivative algorithm.
     pub no_sorbe: bool,
@@ -391,17 +385,12 @@ pub struct Engine {
     /// changes until [`Engine::reset`].
     profile_ids: FxHashMap<(ShapeId, Box<[u64]>), ProfileId>,
     profile_bits: Vec<Box<[u64]>>,
-    /// `--no-dfa` derivative memo, keyed by interned profile. `∂` is a
-    /// pure function of `(expression, profile bits)`, so this persists
-    /// across runs — but **must** be cleared together with the profile
-    /// tables on [`Engine::reset`]: profile ids restart from 0 after a
-    /// reset, and a surviving `(ExprId, ProfileId)` entry would alias a
-    /// different class. Deliberately still SipHash-keyed: it is the
-    /// pre-DFA baseline the `BENCH_dfa` comparison measures against.
-    deriv_memo: HashMap<(ExprId, ProfileId), ExprId>,
-    /// Per-shape lazy DFAs (the default derivative cache; see
-    /// [`crate::dfa`]). Subject to the same reset discipline as
-    /// `deriv_memo`: classes are numbered per profile-table generation.
+    /// Per-shape lazy DFAs (the derivative cache; see [`crate::dfa`]).
+    /// `∂` is a pure function of `(expression, profile bits)`, so the
+    /// tables persist across runs — but **must** be cleared together with
+    /// the profile tables on [`Engine::reset`]: classes are numbered per
+    /// profile-table generation, and a surviving transition would alias a
+    /// different class.
     dfas: Vec<ShapeDfa>,
     /// `ProfileId → owning shape` (profiles are interned per shape).
     profile_shape: Vec<ShapeId>,
@@ -513,7 +502,6 @@ impl Engine {
             profile_by_triple: FxHashMap::default(),
             profile_ids: FxHashMap::default(),
             profile_bits: Vec::new(),
-            deriv_memo: HashMap::new(),
             dfas,
             profile_shape: Vec::new(),
             class_local: Vec::new(),
@@ -637,9 +625,8 @@ impl Engine {
     ///
     /// This must cover the *persistent* caches too, not just the
     /// `(node, shape)` memo: `profile_stable` embeds reference-arc answers
-    /// computed on the old graph, and both derivative caches — the
-    /// `--no-dfa` memo *and* the DFA tables with their class maps — are
-    /// keyed by profile/class ids whose numbering restarts once the
+    /// computed on the old graph, and the DFA tables with their class maps
+    /// are keyed by profile/class ids whose numbering restarts once the
     /// profile tables are cleared. A survivor of any of them would
     /// silently alias a different triple class on the next run.
     pub fn reset(&mut self) {
@@ -649,7 +636,6 @@ impl Engine {
         self.profile_stable.clear();
         self.profile_ids.clear();
         self.profile_bits.clear();
-        self.deriv_memo.clear();
         for dfa in &mut self.dfas {
             *dfa = ShapeDfa::new();
         }
@@ -870,32 +856,19 @@ impl Engine {
     }
 
     /// Whether the dense lazy-DFA derivative cache is active. The DFA
-    /// *is* the derivative memo, so `no_deriv_memo` disables it too.
+    /// *is* the derivative memo, so `no_deriv_memo` disables it.
     #[inline]
     fn use_dfa(&self) -> bool {
-        !self.config.no_dfa && !self.config.no_deriv_memo
-    }
-
-    /// Memoised-derivative entries held by the active cache. Both caches
-    /// fill at exactly the same `(expression, class)` points, so this
-    /// count — and therefore the budget's arena accounting — is
-    /// identical between the DFA and `--no-dfa` paths at every step.
-    #[inline]
-    fn cache_units(&self) -> usize {
-        if self.use_dfa() {
-            self.dfa_filled
-        } else {
-            self.deriv_memo.len()
-        }
+        !self.config.no_deriv_memo
     }
 
     /// The units `max_arena_nodes` governs: hash-consed expression nodes
-    /// plus memoised derivative transitions (DFA table growth counts
-    /// against the arena budget — the table is arena-shaped memory that
-    /// grows with the same pathological inputs).
+    /// plus filled DFA transitions (table growth counts against the arena
+    /// budget — the table is arena-shaped memory that grows with the same
+    /// pathological inputs). Nothing is filled under `no_deriv_memo`.
     #[inline]
     fn arena_units(&self) -> usize {
-        self.schema.pool.len() + self.cache_units()
+        self.schema.pool.len() + self.dfa_filled
     }
 
     /// `ν(e)`, answered from the shape's DFA state table when the state
@@ -1828,7 +1801,6 @@ impl Engine {
             class_local: Vec::new(),
             dfas: self.dfas.iter().map(ShapeDfa::fork).collect(),
             dfa_filled: self.dfa_filled,
-            deriv_memo: HashMap::new(),
             conditional: HashSet::new(),
             in_progress: HashSet::new(),
             failures: self.failures.clone(),
@@ -2461,9 +2433,9 @@ impl Engine {
         }
         // Mask to the shape's alphabet classes: bits of arcs the compiled
         // expression cannot reach are invisible to every derivative, so
-        // profiles differing only there are the same triple class. Both
-        // the DFA and `--no-dfa` paths intern masked bits — masking is a
-        // property of the class model, not of the lookup structure.
+        // profiles differing only there are the same triple class. Masking
+        // is a property of the class model, not of the lookup structure,
+        // so it applies under `no_deriv_memo` too.
         for (b, m) in bits
             .iter_mut()
             .zip(self.schema.shape(shape).class_mask.iter())
@@ -2573,29 +2545,12 @@ impl Engine {
     /// and the arena cap is checked after the interleaving rule — the one
     /// rule whose `∂t(e1)‖e2 | ∂t(e2)‖e1` expansion can blow up the pool.
     ///
-    /// The memoisation structure is chosen by configuration — the dense
-    /// lazy-DFA table by default, the `(expression, profile)` HashMap
-    /// under `--no-dfa`, nothing under `no_deriv_memo` — but hits and
-    /// fills land at exactly the same `(e, pid)` points in all modes, so
-    /// step counts and budget behaviour never diverge between them.
+    /// Transitions are memoised in the dense lazy-DFA table, or not at
+    /// all under the `no_deriv_memo` ablation.
     fn deriv(&mut self, e: ExprId, pid: ProfileId) -> Result<ExprId, Exhaustion> {
         // Where to record the computed transition, resolved by the probe.
-        enum Slot {
-            Uncached,
-            Memo,
-            Dfa(ShapeId, u32, u32),
-        }
-        let slot = if self.config.no_deriv_memo {
-            Slot::Uncached
-        } else if self.config.no_dfa {
-            self.metric(|m| m.deriv_memo.lookups += 1);
-            if let Some(&d) = self.deriv_memo.get(&(e, pid)) {
-                self.stats.deriv_memo_hits += 1;
-                self.metric(|m| m.deriv_memo.hits += 1);
-                return Ok(d);
-            }
-            self.metric(|m| m.deriv_memo.misses += 1);
-            Slot::Memo
+        let slot = if !self.use_dfa() {
+            None
         } else {
             let shape = self.profile_shape[pid.0 as usize];
             let class = self.class_local[pid.0 as usize];
@@ -2607,7 +2562,7 @@ impl Engine {
                 return Ok(d);
             }
             self.metric(|m| m.dfa_table.misses += 1);
-            Slot::Dfa(shape, src, class)
+            Some((shape, src, class))
         };
         self.stats.derivative_steps += 1;
         self.meter.step()?;
@@ -2658,17 +2613,11 @@ impl Engine {
                 self.schema.pool.or(da, db)
             }
         };
-        match slot {
-            Slot::Uncached => {}
-            Slot::Memo => {
-                self.deriv_memo.insert((e, pid), d);
-            }
-            Slot::Dfa(shape, src, class) => {
-                shapex_rdf::failpoint::hit("dfa-fill");
-                let dst = self.dfa_state(shape, d);
-                if self.dfas[shape.index()].record(src, class, dst) {
-                    self.dfa_filled += 1;
-                }
+        if let Some((shape, src, class)) = slot {
+            shapex_rdf::failpoint::hit("dfa-fill");
+            let dst = self.dfa_state(shape, d);
+            if self.dfas[shape.index()].record(src, class, dst) {
+                self.dfa_filled += 1;
             }
         }
         Ok(d)
@@ -3131,7 +3080,7 @@ mod tests {
 
     #[test]
     fn reset_clears_stale_memos_across_graph_change() {
-        // Regression: deriv_memo / profile_stable persist across queries
+        // Regression: DFA tables / profile_stable persist across queries
         // for performance, so reset() MUST clear them. Validate against one
         // graph, extend the dataset so the same (shape, pred, object) key
         // now profiles differently, reset, and re-validate: a stale
@@ -3431,48 +3380,6 @@ mod tests {
             "initial expression plus at least one derivative"
         );
         assert!(filled >= 1, "at least one transition computed");
-    }
-
-    #[test]
-    fn dfa_and_memo_paths_agree_exactly() {
-        // The dense table is a drop-in for the HashMap memo: verdicts AND
-        // step/hit counters must be identical, because fills and hits
-        // land at the same (expression, profile) points in both modes.
-        let schema = shexc::parse(
-            "PREFIX e: <http://e/>\n<S> { e:p @<T> | e:p @<T> }\n<T> { e:q [1]*, e:r . ? }",
-        )
-        .unwrap();
-        let data = "@prefix e: <http://e/> . e:n e:p e:t . e:t e:q 1, 1 . e:t e:r e:n .";
-        let run = |no_dfa: bool| {
-            let mut ds = turtle::parse(data).unwrap();
-            let mut engine = Engine::compile(
-                &schema,
-                &mut ds.pool,
-                EngineConfig {
-                    no_dfa,
-                    no_sorbe: true,
-                    ..EngineConfig::default()
-                },
-            )
-            .unwrap();
-            let n = ds.iri("http://e/n").unwrap();
-            let matched = engine
-                .check(&ds.graph, &ds.pool, n, &"S".into())
-                .unwrap()
-                .matched;
-            (matched, engine.stats())
-        };
-        let (dfa_matched, dfa_stats) = run(false);
-        let (memo_matched, memo_stats) = run(true);
-        assert_eq!(dfa_matched, memo_matched);
-        assert_eq!(
-            dfa_stats.derivative_steps, memo_stats.derivative_steps,
-            "table fills must coincide with memo misses"
-        );
-        assert_eq!(
-            dfa_stats.deriv_memo_hits, memo_stats.deriv_memo_hits,
-            "table hits must coincide with memo hits"
-        );
     }
 
     #[test]

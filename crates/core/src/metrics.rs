@@ -194,13 +194,9 @@ pub struct Metrics {
     /// Assumption-carrying profile-cache behaviour (per-run entries whose
     /// bits were computed under open coinductive assumptions).
     pub profile_assumption: CacheMetrics,
-    /// `(expression, triple-class)` derivative-memo behaviour — the
-    /// `--no-dfa` baseline HashMap. Not consulted when
-    /// `EngineConfig::no_deriv_memo` is set, nor when the lazy DFA is
-    /// active (the default; see [`Metrics::dfa_table`]).
-    pub deriv_memo: CacheMetrics,
-    /// Dense DFA transition-table behaviour (the default derivative
-    /// cache; see [`crate::dfa`]). A miss is exactly one lazy table fill.
+    /// Dense DFA transition-table behaviour (the derivative cache; see
+    /// [`crate::dfa`]). A miss is exactly one lazy table fill. Not
+    /// consulted when `EngineConfig::no_deriv_memo` is set.
     pub dfa_table: CacheMetrics,
     /// DFA expression states interned, summed over shapes.
     pub dfa_states: u64,
@@ -263,8 +259,6 @@ impl Metrics {
             .absorb_delta(&prev.profile_stable, &now.profile_stable);
         self.profile_assumption
             .absorb_delta(&prev.profile_assumption, &now.profile_assumption);
-        self.deriv_memo
-            .absorb_delta(&prev.deriv_memo, &now.deriv_memo);
         self.dfa_table.absorb_delta(&prev.dfa_table, &now.dfa_table);
         self.dfa_states += now.dfa_states - prev.dfa_states;
         if self.per_shape_dfa.len() < now.per_shape_dfa.len() {
@@ -360,7 +354,6 @@ impl Metrics {
         serde_json::json!({
             "profile_stable": self.profile_stable.to_json(),
             "profile_assumption": self.profile_assumption.to_json(),
-            "deriv_memo": self.deriv_memo.to_json(),
             "dfa_table": self.dfa_table.to_json(),
             "dfa_states": self.dfa_states,
             "head_index": {
@@ -384,15 +377,13 @@ impl fmt::Display for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "profile-stable={}/{} profile-assume={}/{} deriv-memo={}/{} \
+            "profile-stable={}/{} profile-assume={}/{} \
              dfa-table={}/{} dfa-states={} \
              head-index={}q/{}c arena-hwm={} budget-steps={}",
             self.profile_stable.hits,
             self.profile_stable.lookups,
             self.profile_assumption.hits,
             self.profile_assumption.lookups,
-            self.deriv_memo.hits,
-            self.deriv_memo.lookups,
             self.dfa_table.hits,
             self.dfa_table.lookups,
             self.dfa_states,
@@ -428,7 +419,7 @@ mod tests {
     fn absorb_delta_adds_counters_and_maxes_high_water() {
         let mut total = Metrics::new(2);
         let prev = Metrics {
-            deriv_memo: CacheMetrics {
+            dfa_table: CacheMetrics {
                 lookups: 5,
                 hits: 4,
                 misses: 1,
@@ -445,7 +436,7 @@ mod tests {
             ..Metrics::default()
         };
         let now = Metrics {
-            deriv_memo: CacheMetrics {
+            dfa_table: CacheMetrics {
                 lookups: 9,
                 hits: 6,
                 misses: 3,
@@ -465,9 +456,9 @@ mod tests {
             ..Metrics::default()
         };
         total.absorb_delta(&prev, &now);
-        assert_eq!(total.deriv_memo.lookups, 4);
-        assert_eq!(total.deriv_memo.hits, 2);
-        assert_eq!(total.deriv_memo.misses, 2);
+        assert_eq!(total.dfa_table.lookups, 4);
+        assert_eq!(total.dfa_table.hits, 2);
+        assert_eq!(total.dfa_table.misses, 2);
         assert_eq!(total.budget_steps, 50);
         assert_eq!(total.arena_high_water, 40);
         assert_eq!(total.per_shape[0].checks, 2);
@@ -482,7 +473,7 @@ mod tests {
     fn display_is_compact() {
         let m = Metrics::new(1);
         let s = m.to_string();
-        assert!(s.contains("deriv-memo=0/0"), "{s}");
+        assert!(s.contains("dfa-table=0/0"), "{s}");
         assert!(!s.contains("waves"), "{s}");
     }
 }

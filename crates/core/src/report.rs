@@ -4,23 +4,92 @@
 //! held stable by the CLI tests and the CI smoke step. It lives in the
 //! core crate — not the CLI — because byte-identical reports are the
 //! contract between every front end: `shapex validate --report json` and
-//! the resident server's `/validate` endpoint assemble their documents
-//! through these same builders, which is what lets the CI smoke job diff
-//! one against the other byte for byte.
+//! the resident server's `/validate`, `/map` and `/delta` endpoints get
+//! their documents *and* their exit codes from the same run builders
+//! ([`typing_report`], [`map_report`], [`delta_report`]), which is what
+//! lets the CI smoke job diff one against the other byte for byte.
 //!
 //! Stats, metrics, and exhaustion blocks come from the engine types' own
 //! `to_json` methods; this module assembles the document around them.
 
 use serde_json::{json, Map, Value};
 
-use shapex_rdf::graph::Graph;
+use shapex_rdf::graph::{Dataset, Graph};
 use shapex_rdf::pool::TermPool;
+use shapex_rdf::{DeltaApplyError, GraphDelta};
+use shapex_shex::shapemap::ShapeMap;
 
 use crate::budget::Exhaustion;
 use crate::compile::ShapeId;
-use crate::engine::{Engine, Trace};
+use crate::engine::{Engine, EngineError, MapOutcome, Trace};
 use crate::metrics::Metrics;
 use crate::result::{Stats, Typing};
+
+/// How a run ended — the one source of the exit code the CLI returns and
+/// the server sends in its `X-Shapex-Exit` header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exit {
+    /// The run completed and conforms (a full typing that ran to
+    /// completion counts as conforming) — exit code 0.
+    Conforms,
+    /// The run completed and some verdict is non-conformance — exit
+    /// code 2.
+    NonConforming,
+    /// A budget tripped, so the answer is unknown — exit code 3. It
+    /// outranks non-conformance: a partial run's failing verdicts might
+    /// flip with a larger budget.
+    Exhausted(Exhaustion),
+}
+
+impl Exit {
+    /// The exit code: 0 conforms, 2 non-conforming, 3 exhausted.
+    pub fn code(self) -> u8 {
+        match self {
+            Exit::Conforms => 0,
+            Exit::NonConforming => 2,
+            Exit::Exhausted(_) => 3,
+        }
+    }
+
+    /// The document's `conforms` value: `null` when exhausted.
+    pub fn conforms(self) -> Option<bool> {
+        match self {
+            Exit::Conforms => Some(true),
+            Exit::NonConforming => Some(false),
+            Exit::Exhausted(_) => None,
+        }
+    }
+
+    /// A full typing: exhausted on its first unanswered pair, otherwise
+    /// conforming (it ran to completion).
+    pub fn of_typing(typing: &Typing) -> Exit {
+        match typing.exhausted.first() {
+            Some(&(_, _, e)) => Exit::Exhausted(e),
+            None => Exit::Conforms,
+        }
+    }
+
+    /// A shape-map run: exhausted on its first unanswered association,
+    /// else non-conforming when any verdict contradicts its expectation.
+    pub fn of_map(outcomes: &[MapOutcome]) -> Exit {
+        if let Some(e) = outcomes.iter().find_map(|o| o.exhaustion) {
+            Exit::Exhausted(e)
+        } else if outcomes.iter().all(|o| o.as_expected) {
+            Exit::Conforms
+        } else {
+            Exit::NonConforming
+        }
+    }
+}
+
+/// A sealed report document and how its run ended.
+#[derive(Debug)]
+pub struct RunReport {
+    /// The serialized document.
+    pub body: String,
+    /// The run's exit.
+    pub exit: Exit,
+}
 
 /// Serializes a report document: pretty-printed, trailing newline.
 pub fn render(v: &Value) -> String {
@@ -206,4 +275,176 @@ pub fn finish_engine_doc(
         doc.set("metrics", metrics_json(m, &labels));
     }
     render(&doc.finish(conforms))
+}
+
+/// The full-typing document (`mode: "typing"`) of a completed
+/// [`Engine::type_all_par`] run. `skipped` is the lenient parser's skip
+/// count (0 when strict).
+pub fn typing_report(
+    engine: &mut Engine,
+    graph: &Graph,
+    pool: &TermPool,
+    typing: &Typing,
+    skipped: usize,
+) -> RunReport {
+    seal_typing(
+        ReportDoc::new("typing", "derivative"),
+        engine,
+        graph,
+        pool,
+        typing,
+        skipped,
+    )
+}
+
+/// Fills `doc` with the rows of a full typing and seals it with the
+/// typing's exit — [`typing_report`] for documents of another mode that
+/// carry a typing (`check --schema-delta --data`).
+pub fn seal_typing(
+    mut doc: ReportDoc,
+    engine: &mut Engine,
+    graph: &Graph,
+    pool: &TermPool,
+    typing: &Typing,
+    skipped: usize,
+) -> RunReport {
+    push_typing_rows(&mut doc, engine, graph, pool, typing);
+    let exit = Exit::of_typing(typing);
+    RunReport {
+        body: finish_engine_doc(doc, engine, skipped, exit.conforms()),
+        exit,
+    }
+}
+
+/// The shape-map document (`mode: "map"`): one row per association, in
+/// the order [`Engine::validate_map`] returned `outcomes`, each carrying
+/// its expectation.
+pub fn map_report(
+    engine: &Engine,
+    pool: &TermPool,
+    map: &ShapeMap,
+    outcomes: &[MapOutcome],
+    skipped: usize,
+) -> RunReport {
+    let mut doc = ReportDoc::new("map", "derivative");
+    for outcome in outcomes {
+        let assoc = &map.associations[outcome.index];
+        let node = assoc.node.to_string();
+        let verdict = if outcome.exhaustion.is_some() {
+            "exhausted"
+        } else if outcome.conforms {
+            "conforms"
+        } else {
+            "fails"
+        };
+        let mut row = result_json(
+            &node,
+            assoc.shape.as_str(),
+            verdict,
+            outcome.failure.as_ref().map(|f| f.render(pool)),
+            outcome.exhaustion.as_ref(),
+        );
+        if let Value::Object(m) = &mut row {
+            m.insert("expected".to_string(), Value::from(assoc.expected));
+            m.insert("as_expected".to_string(), Value::from(outcome.as_expected));
+        }
+        doc.push_result(row);
+        if let Some(e) = &outcome.exhaustion {
+            doc.push_exhausted(&node, assoc.shape.as_str(), e);
+        }
+    }
+    let exit = Exit::of_map(outcomes);
+    RunReport {
+        body: finish_engine_doc(doc, engine, skipped, exit.conforms()),
+        exit,
+    }
+}
+
+/// Why a [`delta_report`] run failed. Either way the graph is consistent:
+/// a failed application leaves it as it was, a failed revalidation leaves
+/// it mutated with the engine's memo untouched.
+#[derive(Debug)]
+pub enum DeltaRunError {
+    /// Applying the delta failed midway and was rolled back.
+    Apply(DeltaApplyError),
+    /// The post-delta revalidation was refused.
+    Revalidate(EngineError),
+}
+
+impl std::fmt::Display for DeltaRunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DeltaRunError::Apply(e) => e.fmt(f),
+            DeltaRunError::Revalidate(e) => e.fmt(f),
+        }
+    }
+}
+
+/// The delta run (`mode: "delta"`): types the graph for the `before`
+/// rows, applies `delta` all-or-nothing, incrementally revalidates, and
+/// builds the `after` rows. The exit comes from the *after* typing.
+///
+/// With `jobs > 1` the invalidation plan (a read of the dependency index
+/// only, valid before or after the mutation) is computed concurrently
+/// with the graph mutation. `commit` runs once the revalidation has
+/// succeeded and before the `after` rows are built: from that point the
+/// delta is part of the graph's state (the server records it in its
+/// replay log there). `file` names the delta file in the `delta` block.
+pub fn delta_report(
+    engine: &mut Engine,
+    ds: &mut Dataset,
+    delta: &GraphDelta,
+    jobs: usize,
+    file: Option<&str>,
+    skipped: usize,
+    commit: impl FnOnce(),
+) -> Result<RunReport, DeltaRunError> {
+    let before_typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
+    let before = typing_doc(engine, &ds.graph, &ds.pool, &before_typing);
+
+    let (plan, applied) = if jobs > 1 {
+        let planner_engine = &*engine;
+        std::thread::scope(|s| {
+            let planner = s.spawn(|| planner_engine.plan_invalidation(delta));
+            let applied = ds.try_apply_delta(delta);
+            let plan = planner.join().expect("invalidation planner panicked");
+            (plan, applied)
+        })
+    } else {
+        (engine.plan_invalidation(delta), ds.try_apply_delta(delta))
+    };
+    applied.map_err(DeltaRunError::Apply)?;
+    let after_typing = engine
+        .revalidate_par_planned(&ds.graph, &ds.pool, delta, plan, jobs)
+        .map_err(DeltaRunError::Revalidate)?;
+    commit();
+    let after = typing_doc(engine, &ds.graph, &ds.pool, &after_typing);
+
+    let stats = engine.stats();
+    let mut block = json!({
+        "added": delta.added.len(),
+        "removed": delta.removed.len(),
+        "invalidated": stats.invalidated_pairs,
+        "retyped": stats.retyped_pairs,
+        "reused": stats.reused_pairs,
+    });
+    if let (Some(file), Value::Object(m)) = (file, &mut block) {
+        m.insert("file".to_string(), Value::from(file));
+    }
+    let mut doc = ReportDoc::new("delta", "derivative");
+    doc.set("delta", block);
+    doc.set("before", before);
+    doc.set("after", after);
+    let exit = Exit::of_typing(&after_typing);
+    Ok(RunReport {
+        body: finish_engine_doc(doc, engine, skipped, exit.conforms()),
+        exit,
+    })
+}
+
+/// One unsealed `typing` sub-document (the halves of a delta report).
+fn typing_doc(engine: &mut Engine, graph: &Graph, pool: &TermPool, typing: &Typing) -> Value {
+    let mut doc = ReportDoc::new("typing", "derivative");
+    push_typing_rows(&mut doc, engine, graph, pool, typing);
+    doc.finish(Exit::of_typing(typing).conforms())
 }

@@ -62,6 +62,8 @@ mod armed {
         /// `None` = fire on every hit; `Some(n)` = fire on the next `n`
         /// hits, then disarm.
         remaining: Option<u32>,
+        /// When set, only hits on this thread count; others pass.
+        thread: Option<std::thread::ThreadId>,
     }
 
     fn registry() -> &'static Mutex<HashMap<String, Entry>> {
@@ -69,13 +71,20 @@ mod armed {
         REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
     }
 
-    pub fn set(name: &str, action: Action, skip: u32, times: Option<u32>) {
+    pub fn set(
+        name: &str,
+        action: Action,
+        skip: u32,
+        times: Option<u32>,
+        thread: Option<std::thread::ThreadId>,
+    ) {
         registry().lock().unwrap().insert(
             name.to_string(),
             Entry {
                 action,
                 skip,
                 remaining: times,
+                thread,
             },
         );
     }
@@ -94,6 +103,12 @@ mod armed {
         let action = {
             let mut map = registry().lock().unwrap();
             let entry = map.get_mut(name)?;
+            if entry
+                .thread
+                .is_some_and(|t| t != std::thread::current().id())
+            {
+                return None;
+            }
             if entry.skip > 0 {
                 entry.skip -= 1;
                 return None;
@@ -152,7 +167,18 @@ pub fn set(name: &str, action: Action, times: Option<u32>) {
 /// the first site reached. No-op without the `fail-inject` feature.
 pub fn set_after(name: &str, action: Action, skip: u32, times: Option<u32>) {
     #[cfg(feature = "fail-inject")]
-    armed::set(name, action, skip, times);
+    armed::set(name, action, skip, times, None);
+    #[cfg(not(feature = "fail-inject"))]
+    let _ = (name, action, skip, times);
+}
+
+/// [`set_after`], but only hits on the calling thread count: other
+/// threads pass the site untouched. For tests that arm a site while
+/// concurrent tests in the same process reach it too. No-op without the
+/// `fail-inject` feature.
+pub fn set_after_on_this_thread(name: &str, action: Action, skip: u32, times: Option<u32>) {
+    #[cfg(feature = "fail-inject")]
+    armed::set(name, action, skip, times, Some(std::thread::current().id()));
     #[cfg(not(feature = "fail-inject"))]
     let _ = (name, action, skip, times);
 }
@@ -183,7 +209,7 @@ pub fn configure_from_env() -> Vec<String> {
         if let Ok(spec) = std::env::var("SHAPEX_FAILPOINTS") {
             for clause in spec.split(';').filter(|c| !c.trim().is_empty()) {
                 match armed::parse_clause(clause.trim()) {
-                    Some((name, action, times)) => armed::set(&name, action, 0, times),
+                    Some((name, action, times)) => armed::set(&name, action, 0, times, None),
                     None => bad.push(clause.trim().to_string()),
                 }
             }

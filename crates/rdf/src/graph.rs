@@ -1017,7 +1017,12 @@ mod tests {
         // Fail on the third of four operations: both removals land, then
         // the first addition trips — a genuinely half-applied delta that
         // must be rolled back to a byte-identical graph.
-        failpoint::set_after("delta-apply", Action::Error("disk full".into()), 2, Some(1));
+        failpoint::set_after_on_this_thread(
+            "delta-apply",
+            Action::Error("disk full".into()),
+            2,
+            Some(1),
+        );
         let err = ds.try_apply_delta(&d).unwrap_err();
         assert_eq!(err.op_index, 2);
         assert_eq!(err.operations, 4);
@@ -1053,7 +1058,12 @@ mod tests {
         let a = ds.iri("http://e/a").unwrap();
         let before_arcs = ds.graph.neighbourhood(a).to_vec();
 
-        failpoint::set_after("delta-apply", Action::Error("disk full".into()), 1, Some(1));
+        failpoint::set_after_on_this_thread(
+            "delta-apply",
+            Action::Error("disk full".into()),
+            1,
+            Some(1),
+        );
         let err = ds.try_apply_delta(&d).unwrap_err();
         assert_eq!(err.op_index, 1);
         assert_eq!(writer::to_ntriples(&ds.graph, &ds.pool), before);

@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 
+use shapex::report::Exit;
 use shapex::{Closure, Engine, EngineConfig, Exhaustion, Outcome, ShapeId};
 use shapex_rdf::graph::{Dataset, Graph};
 use shapex_rdf::pool::{TermId, TermPool};
@@ -77,6 +78,17 @@ impl ShaclOutcome {
             Some(true)
         } else {
             None
+        }
+    }
+
+    /// How the run ended, for the CLI exit code and the server's
+    /// `X-Shapex-Exit` header: the three values of [`ShaclOutcome::conforms`],
+    /// with exhaustion carrying the first exhausted target's record.
+    pub fn exit(&self) -> Exit {
+        match self.conforms() {
+            Some(true) => Exit::Conforms,
+            Some(false) => Exit::NonConforming,
+            None => Exit::Exhausted(self.exhausted[0].exhaustion),
         }
     }
 }

@@ -14,6 +14,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use shapex::{Budget, Engine, EngineConfig, Metrics, Stats};
+use shapex_backtrack::BacktrackValidator;
 use shapex_rdf::graph::Dataset;
 use shapex_rdf::turtle;
 use shapex_shex::shexc;
@@ -97,15 +98,11 @@ fn assert_totals_match(name: &str, budget: Budget) {
             par_m.profile_assumption.lookups,
         ),
         (
-            "deriv_memo.lookups",
-            seq_m.deriv_memo.lookups,
-            par_m.deriv_memo.lookups,
+            "dfa_table.lookups",
+            seq_m.dfa_table.lookups,
+            par_m.dfa_table.lookups,
         ),
-        (
-            "deriv_memo.hits",
-            seq_m.deriv_memo.hits,
-            par_m.deriv_memo.hits,
-        ),
+        ("dfa_table.hits", seq_m.dfa_table.hits, par_m.dfa_table.hits),
         (
             "head_index_queries",
             seq_m.head_index_queries,
@@ -126,7 +123,7 @@ fn assert_totals_match(name: &str, budget: Budget) {
     );
     // The merged metrics obey the cache invariant on both sides.
     for m in [&seq_m, &par_m] {
-        for c in [&m.profile_stable, &m.profile_assumption, &m.deriv_memo] {
+        for c in [&m.profile_stable, &m.profile_assumption, &m.dfa_table] {
             assert_eq!(
                 c.lookups,
                 c.hits + c.misses,
@@ -156,47 +153,79 @@ fn interleave_totals_jobs_invariant() {
 }
 
 #[test]
-fn dfa_typing_jobs_invariant_and_matches_no_dfa() {
+fn dfa_typing_jobs_invariant_and_matches_uncached_and_backtracking() {
     // The lazy DFA shares dense transition tables across shards: workers
-    // fork a snapshot and the coordinator merges their fill logs at wave
+    // fork a snapshot and the coordinator merges their fill logs at epoch
     // boundaries. Whatever the sharing does to *when* cells fill, the
-    // typing must be identical at every jobs count, and identical to the
-    // HashMap-memo (`--no-dfa`) runs. `no_sorbe` forces the derivative
-    // path so the tables are genuinely exercised.
-    let run = |no_dfa: bool, jobs: usize| {
-        let w = shapex_workloads::person_network(
+    // typing and every failure diagnostic must be identical at every jobs
+    // count, identical to the uncached `no_deriv_memo` ablation, and the
+    // verdicts must match the backtracking reference. `no_sorbe` forces
+    // the derivative path so the tables are genuinely exercised.
+    let network = || {
+        shapex_workloads::person_network(
             40,
             shapex_workloads::Topology::Random { degree: 2 },
             0.3,
             7,
-        );
-        let schema = shexc::parse(&w.schema).expect("schema parses");
-        let mut ds = w.dataset;
+        )
+    };
+    let schema = shexc::parse(&network().schema).expect("schema parses");
+    let run = |no_deriv_memo: bool, jobs: usize| {
+        let mut ds = network().dataset;
         let config = EngineConfig {
-            no_dfa,
+            no_deriv_memo,
             no_sorbe: true,
             ..EngineConfig::default()
         };
         let mut engine = Engine::compile(&schema, &mut ds.pool, config).expect("schema compiles");
         let typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
         let filled: usize = engine.dfa_summary().iter().map(|&(_, _, _, f)| f).sum();
-        (typing, filled)
+        let shape = engine.shape_id(&"Person".into()).expect("Person shape");
+        let failures: Vec<Option<String>> = ds
+            .graph
+            .subjects()
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|node| {
+                engine
+                    .check_id(&ds.graph, &ds.pool, node, shape)
+                    .into_failure()
+                    .map(|f| f.render(&ds.pool))
+            })
+            .collect();
+        (typing, failures, filled)
     };
-    let (dfa_seq, filled_seq) = run(false, 1);
-    let (dfa_par, filled_par) = run(false, 4);
-    let (memo_seq, _) = run(true, 1);
-    let (memo_par, _) = run(true, 4);
+    let (dfa_seq, fail_seq, filled_seq) = run(false, 1);
+    let (dfa_par, fail_par, filled_par) = run(false, 4);
+    let (plain_seq, fail_plain, filled_plain) = run(true, 1);
     assert!(filled_seq > 0, "sequential run never filled a DFA cell");
     assert!(filled_par > 0, "parallel run never filled a DFA cell");
+    assert_eq!(filled_plain, 0, "no_deriv_memo must not fill the DFA");
     assert_eq!(
         dfa_seq, dfa_par,
         "DFA typing diverged between jobs=1 and jobs=4"
     );
     assert_eq!(
-        memo_seq, memo_par,
-        "memo typing diverged between jobs=1 and jobs=4"
+        fail_seq, fail_par,
+        "failures diverged between jobs=1 and jobs=4"
     );
-    assert_eq!(dfa_seq, memo_seq, "DFA and memo typings diverged");
+    assert_eq!(dfa_seq, plain_seq, "DFA and uncached typings diverged");
+    assert_eq!(fail_seq, fail_plain, "DFA and uncached failures diverged");
+
+    let ds = network().dataset;
+    let reference = BacktrackValidator::new(&schema).expect("schema compiles");
+    let person = shapex::ShapeId(0);
+    for node in ds.graph.subjects() {
+        let expected = reference
+            .check(&ds.graph, &ds.pool, node, &"Person".into())
+            .expect("backtracker answers");
+        assert_eq!(
+            dfa_seq.has(node, person),
+            expected,
+            "DFA and backtracking disagree on {}",
+            ds.pool.term(node)
+        );
+    }
 }
 
 #[test]
