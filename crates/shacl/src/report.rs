@@ -92,8 +92,14 @@ pub fn render_text(outcome: &ShaclOutcome) -> String {
             r.focus,
             r.source_shape,
             r.component,
-            r.path.as_deref().map(|p| format!(" path {p}")).unwrap_or_default(),
-            r.value.as_deref().map(|v| format!(" value {v}")).unwrap_or_default(),
+            r.path
+                .as_deref()
+                .map(|p| format!(" path {p}"))
+                .unwrap_or_default(),
+            r.value
+                .as_deref()
+                .map(|v| format!(" value {v}"))
+                .unwrap_or_default(),
         ));
     }
     for e in &outcome.exhausted {

@@ -26,11 +26,11 @@ pub(crate) fn select_targets(schema: &ShaclSchema, ds: &mut Dataset) -> Vec<(usi
     let sub_id = ds.iri(rdfs::SUB_CLASS_OF);
     let mut instances: HashMap<TermId, Vec<TermId>> = HashMap::new();
     let mut subs: HashMap<TermId, Vec<TermId>> = HashMap::new();
-    if schema.shapes.iter().any(|s| {
-        s.targets
-            .iter()
-            .any(|t| matches!(t, TargetDecl::Class(_)))
-    }) {
+    if schema
+        .shapes
+        .iter()
+        .any(|s| s.targets.iter().any(|t| matches!(t, TargetDecl::Class(_))))
+    {
         for s in ds.graph.subjects().collect::<Vec<_>>() {
             for &(p, o) in ds.graph.neighbourhood(s) {
                 if Some(p) == type_id {
@@ -143,7 +143,10 @@ mod tests {
             "<http://example.org/carol>",
             "<http://example.org/orphan>",
         ] {
-            assert!(names.contains(&expected.to_string()), "{expected} in {names:?}");
+            assert!(
+                names.contains(&expected.to_string()),
+                "{expected} in {names:?}"
+            );
         }
         assert_eq!(targets.len(), 4, "dedup across target kinds: {names:?}");
     }

@@ -27,8 +27,8 @@ fn conformance_root() -> PathBuf {
 }
 
 fn manifest() -> serde_json::Value {
-    let raw = fs::read_to_string(conformance_root().join("manifest.json"))
-        .expect("manifest.json exists");
+    let raw =
+        fs::read_to_string(conformance_root().join("manifest.json")).expect("manifest.json exists");
     serde_json::from_str(&raw).expect("manifest.json parses")
 }
 
@@ -54,7 +54,10 @@ fn conformance_manifest_passes() {
         .get("entries")
         .and_then(|e| e.as_array())
         .expect("entries array");
-    assert!(entries.len() >= 14, "manifest should cover the component set");
+    assert!(
+        entries.len() >= 14,
+        "manifest should cover the component set"
+    );
     for entry in entries {
         let name = entry
             .get("name")
@@ -114,9 +117,9 @@ fn conformance_manifest_passes() {
                 }
             }
             Err(e) => {
-                let expect = entry.get("error").unwrap_or_else(|| {
-                    panic!("{name}: unexpected compile error {e}")
-                });
+                let expect = entry
+                    .get("error")
+                    .unwrap_or_else(|| panic!("{name}: unexpected compile error {e}"));
                 let code = expect.get("code").and_then(|c| c.as_str()).expect("code");
                 assert_eq!(e.code, code, "{name}: {e}");
                 let needle = expect
@@ -149,7 +152,10 @@ fn unsupported_terms_never_validate_vacuously() {
     let shapes = turtle::parse(shapes_src).unwrap();
     let err = compile(&shapes).expect_err("sh:sparql must be refused at compile time");
     assert_eq!(err.code, "E001");
-    assert!(err.detail.contains("sh:sparql"), "diagnostic names the term: {err}");
+    assert!(
+        err.detail.contains("sh:sparql"),
+        "diagnostic names the term: {err}"
+    );
     // The shape node is identified too, so the author can find it.
     assert!(
         err.detail.contains("http://example.org/S"),
@@ -220,14 +226,21 @@ fn differential_fixed_seed_matches_ground_truth() {
     let w = shapex_workloads::generators::shacl_person_records(60, 7);
     let shacl = shacl_verdicts(shapex_workloads::generators::shacl_person_records(60, 7));
     let shex = shex_verdicts(shapex_workloads::generators::shacl_person_records(60, 7));
-    assert_eq!(shacl, shex, "SHACL and ShEx verdict tables must be byte-identical");
+    assert_eq!(
+        shacl, shex,
+        "SHACL and ShEx verdict tables must be byte-identical"
+    );
     let truth: Vec<(String, bool)> = w
         .focus
         .iter()
         .zip(&w.expected)
         .map(|(f, &ok)| (format!("<{f}>"), ok))
         .collect();
-    assert_eq!(shacl, verdict_table(&truth), "verdicts must match ground truth");
+    assert_eq!(
+        shacl,
+        verdict_table(&truth),
+        "verdicts must match ground truth"
+    );
 }
 
 proptest::proptest! {
