@@ -151,8 +151,8 @@ USAGE:
       --stats                            print engine statistics
       --report json                      machine-readable report on stdout: verdict per
                                          (node, shape), rendered failure traces, exhaustion
-                                         records, and — always collected in this mode — the
-                                         engine metrics block (see DESIGN.md for the schema)
+                                         records, and the engine stats and metrics blocks
+                                         (see DESIGN.md for the schema)
       --lenient                          skip malformed Turtle statements instead of aborting
       --max-steps N                      per-check derivative/rule step budget
       --max-depth N                      per-check recursion depth budget
@@ -598,7 +598,6 @@ fn validate_shacl(flags: &Flags) -> Result<String, CliError> {
         no_sorbe: flags.has("no-sorbe"),
         prune: flags.has("prune"),
         budget: budget_from_flags(flags)?,
-        metrics: report,
         ..EngineConfig::default()
     };
     let schema =
@@ -647,8 +646,6 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                 no_sorbe: flags.has("no-sorbe"),
                 prune: flags.has("prune"),
                 budget,
-                // A JSON report always carries the metrics block.
-                metrics: report,
                 // Dependency recording is only paid for when a delta run
                 // will consume it.
                 incremental: flags.get("delta").is_some(),
@@ -1219,7 +1216,6 @@ fn check_schema_delta(
     let config = EngineConfig {
         closure,
         budget,
-        metrics: report,
         ..EngineConfig::default()
     };
     let mut old_engine =
@@ -1590,8 +1586,7 @@ mod tests {
             results[0].get("verdict").and_then(|s| s.as_str()),
             Some("conforms")
         );
-        // --report json always collects metrics; the serialized block
-        // preserves the cache invariant lookups == hits + misses.
+        // The serialized metrics block preserves the cache invariant lookups == hits + misses.
         let metrics = v.get("metrics").expect("metrics block present");
         for cache in ["profile_stable", "profile_assumption", "dfa_table"] {
             let c = metrics.get(cache).unwrap();

@@ -49,8 +49,9 @@ pub enum Closure {
     Open,
 }
 
-/// Engine configuration; the non-default settings exist for the E9
-/// ablation benchmarks.
+/// Engine configuration. `simplify`, `no_deriv_memo` and `no_sorbe` exist
+/// for the E9 ablation benchmarks; `closure`, `budget`, `incremental` and
+/// `prune` are operational settings the CLI and server expose.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
     /// Which simplification rules the expression arena applies.
@@ -67,10 +68,9 @@ pub struct EngineConfig {
     /// Per-query resource limits (see [`crate::budget`]). The default,
     /// [`Budget::UNLIMITED`], governs nothing.
     pub budget: Budget,
-    /// Collect fine-grained observability counters (see
-    /// [`crate::metrics`]). Off by default: when disabled the engine
-    /// allocates no metrics state and instrumentation sites reduce to a
-    /// single `Option` discriminant test.
+    /// Ignored: the engine always collects its counters (see
+    /// [`crate::metrics`]). Kept so configurations that still set it
+    /// compile.
     pub metrics: bool,
     /// Record a triple-dependency index during typing so that
     /// [`Engine::revalidate`] can re-check only the `(node, shape)` pairs
@@ -406,7 +406,6 @@ pub struct Engine {
     conditional: HashSet<Pair>,
     in_progress: HashSet<Pair>,
     failures: HashMap<Pair, Failure>,
-    stats: Stats,
     /// Per-query budget meter, reset by each top-level `gfp_run`/trace so
     /// every node in a batch gets the full budget (per-node fault
     /// isolation) while reruns of the same query share one allowance.
@@ -415,9 +414,9 @@ pub struct Engine {
     /// `--timeout-ms` bounds wall-clock for the entire `type_all_par` run
     /// (per-query limits stay with each meter).
     governor: Option<Arc<RunGovernor>>,
-    /// Observability counters; allocated only when
-    /// [`EngineConfig::metrics`] is set (zero-cost when disabled).
-    metrics: Option<Box<Metrics>>,
+    /// The engine's one counter record; [`Engine::stats`] is computed
+    /// from it.
+    pub(crate) metrics: Metrics,
     /// Triple-dependency index for [`Engine::revalidate`]; populated only
     /// when [`EngineConfig::incremental`] is set.
     deps: TripleDeps,
@@ -470,9 +469,7 @@ impl Engine {
             crate::calculus::prune_empty_branches(&mut compiled);
         }
         let compiled = compiled;
-        let metrics = config
-            .metrics
-            .then(|| Box::new(Metrics::new(compiled.shapes.len())));
+        let metrics = Metrics::new(compiled.shapes.len());
         let dfas = vec![ShapeDfa::new(); compiled.shapes.len()];
         let mut ref_heads = Some(Vec::new());
         for arc in &compiled.arcs {
@@ -509,7 +506,6 @@ impl Engine {
             conditional: HashSet::new(),
             in_progress: HashSet::new(),
             failures: HashMap::new(),
-            stats: Stats::default(),
             meter: BudgetMeter::default(),
             governor: None,
             metrics,
@@ -552,12 +548,27 @@ impl Engine {
         &self.schema.shape(shape).label
     }
 
-    /// Counters accumulated since construction (or [`Engine::reset`]).
+    /// Counters accumulated since construction (or [`Engine::reset`]): a
+    /// snapshot of the counter record with the live arena size folded in.
     pub fn stats(&self) -> Stats {
-        let mut s = self.stats;
-        s.expr_pool_size = self.schema.pool.len();
-        s.peak_arena_nodes = s.peak_arena_nodes.max(self.schema.pool.len());
-        s
+        let m = &self.metrics;
+        let pool = self.schema.pool.len();
+        Stats {
+            derivative_steps: m.derivative_steps,
+            deriv_memo_hits: m.dfa_table.hits,
+            triple_classes: m.triple_classes,
+            node_checks: m.node_checks,
+            gfp_reruns: m.gfp_reruns,
+            sorbe_checks: m.sorbe_checks(),
+            expr_pool_size: pool,
+            budget_steps: m.budget_steps,
+            peak_arena_nodes: m.arena_high_water.max(m.pool_high_water).max(pool),
+            max_depth_reached: m.max_depth_reached,
+            exhausted_checks: m.exhausted_checks,
+            invalidated_pairs: m.delta_invalidated,
+            retyped_pairs: m.delta_retyped,
+            reused_pairs: m.delta_reused,
+        }
     }
 
     /// A sorted snapshot of the settled caches: unconditional verdicts,
@@ -595,18 +606,10 @@ impl Engine {
         }
     }
 
-    /// The fine-grained observability counters, when collection is
-    /// enabled via [`EngineConfig::metrics`]. `None` otherwise.
+    /// The engine's counter record. Always `Some`: collection is always
+    /// on (the `Option` keeps existing callers compiling).
     pub fn metrics(&self) -> Option<&Metrics> {
-        self.metrics.as_deref()
-    }
-
-    /// Runs one instrumentation closure iff metrics collection is on.
-    #[inline]
-    fn metric(&mut self, f: impl FnOnce(&mut Metrics)) {
-        if let Some(m) = &mut self.metrics {
-            f(m);
-        }
+        Some(&self.metrics)
     }
 
     /// The budget every subsequent query runs under (also settable at
@@ -647,10 +650,7 @@ impl Engine {
         self.provisional.clear();
         self.deps.clear();
         self.dep_stack.clear();
-        self.stats = Stats::default();
-        if let Some(m) = &mut self.metrics {
-            **m = Metrics::new(self.schema.shapes.len());
-        }
+        self.metrics = Metrics::new(self.schema.shapes.len());
     }
 
     /// Checks `node` against the shape named `label` (paper §8:
@@ -792,7 +792,7 @@ impl Engine {
         // individual queries are too small to reach an amortised poll.
         if let Some(governor) = &self.governor {
             if let Err(exhaustion) = governor.poll_deadline() {
-                self.stats.exhausted_checks += 1;
+                self.metrics.exhausted_checks += 1;
                 return Outcome::Exhausted(exhaustion);
             }
         }
@@ -812,7 +812,7 @@ impl Engine {
                             Outcome::Fails(self.failures.get(&(shape, node)).cloned())
                         };
                     }
-                    self.stats.gfp_reruns += 1;
+                    self.metrics.gfp_reruns += 1;
                 }
                 Err(exhaustion) => {
                     self.in_progress.clear();
@@ -824,7 +824,7 @@ impl Engine {
                     for pair in self.conditional.drain() {
                         self.memo.remove(&pair);
                     }
-                    self.stats.exhausted_checks += 1;
+                    self.metrics.exhausted_checks += 1;
                     self.fold_meter();
                     return Outcome::Exhausted(exhaustion);
                 }
@@ -846,13 +846,10 @@ impl Engine {
     /// run-wide deadline is irrelevant for an already-finished query).
     fn fold_meter(&mut self) {
         let _ = self.meter.flush_shared();
-        self.stats.budget_steps += self.meter.steps_spent();
-        self.stats.max_depth_reached = self.stats.max_depth_reached.max(self.meter.peak_depth());
-        self.stats.peak_arena_nodes = self.stats.peak_arena_nodes.max(self.meter.peak_arena());
-        if let Some(m) = &mut self.metrics {
-            m.budget_steps += self.meter.steps_spent();
-            m.arena_high_water = m.arena_high_water.max(self.meter.peak_arena());
-        }
+        let m = &mut self.metrics;
+        m.budget_steps += self.meter.steps_spent();
+        m.max_depth_reached = m.max_depth_reached.max(self.meter.peak_depth());
+        m.arena_high_water = m.arena_high_water.max(self.meter.peak_arena());
     }
 
     /// Whether the dense lazy-DFA derivative cache is active. The DFA
@@ -1001,8 +998,12 @@ impl Engine {
     ///
     /// `jobs <= 1` (and trivially small runs) take the exact sequential
     /// path. The configured deadline, if any, additionally bounds
-    /// wall-clock for the whole run via a shared [`RunGovernor`].
+    /// wall-clock for the whole run via a shared [`RunGovernor`]. Each
+    /// call replaces [`Metrics::waves`] with its own epoch records.
     pub fn type_all_par(&mut self, graph: &Graph, terms: &TermPool, jobs: usize) -> Typing {
+        // Epoch records describe this call only: a resident engine must
+        // not re-serialise every earlier run's.
+        self.metrics.waves.clear();
         let queries: Vec<(TermId, ShapeId)> = graph
             .subjects()
             .flat_map(|node| (0..self.schema.shapes.len()).map(move |i| (node, ShapeId(i as u32))))
@@ -1030,15 +1031,10 @@ impl Engine {
         let has_recursion = self.schema.has_recursion;
         // Epoch-boundary merge discipline: every worker counter is folded
         // into this engine exactly once, as the delta accumulated since
-        // the previous boundary. `prev_stats`/`prev_metrics` are the
-        // per-worker snapshots the last boundary advanced to; workers left
-        // idle by a short epoch contribute an empty delta.
-        let mut prev_stats: Vec<Stats> = vec![Stats::default(); jobs];
-        let mut prev_metrics: Vec<Metrics> = if self.metrics.is_some() {
-            vec![Metrics::new(self.schema.shapes.len()); jobs]
-        } else {
-            Vec::new()
-        };
+        // the previous boundary. `snapshots` holds the per-worker records
+        // the last boundary advanced to; workers left idle by a short
+        // epoch contribute an empty delta.
+        let mut snapshots = vec![Metrics::new(self.schema.shapes.len()); jobs];
         // Workers run on a shared executor when one is installed (the
         // server's request pool), else on a transient pool for this call
         // — either way threads are reused across every epoch of the run.
@@ -1094,17 +1090,15 @@ impl Engine {
             let wave_queries = (wave_end - next) as u64;
             next = wave_end;
             if pending.is_empty() {
-                self.metric(|m| {
-                    m.waves.push(WaveMetrics {
-                        queries: wave_queries,
-                        memo_answered,
-                        merged_answered,
-                        ..WaveMetrics::default()
-                    })
+                self.metrics.waves.push(WaveMetrics {
+                    queries: wave_queries,
+                    memo_answered,
+                    merged_answered,
+                    ..WaveMetrics::default()
                 });
                 continue;
             }
-            let wave_start = self.metrics.is_some().then(std::time::Instant::now);
+            let wave_start = std::time::Instant::now();
             // Re-seed derivative transitions learned by peers: the worker
             // interns the class by its bits and the states by their
             // (prefix-shared) expression ids, then fills the cell without
@@ -1129,7 +1123,6 @@ impl Engine {
             // is further cut into batches so idle peers can take a loaded
             // worker's tail.
             let per = pending.len().div_ceil(jobs);
-            let timed = self.metrics.is_some();
             let mut outs: Vec<Vec<(usize, Outcome)>> = (0..jobs).map(|_| Vec::new()).collect();
             let mut counters = vec![WorkerCounters::default(); jobs];
             let deques: Vec<BatchQueue> = (0..jobs)
@@ -1159,8 +1152,7 @@ impl Engine {
                 .map(|(w, (((worker, out), ctr), mark))| {
                     let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                         worker.steal_loop(
-                            graph, terms, w, jobs, queries, pending, deques, publog, mark, out,
-                            ctr, timed,
+                            graph, terms, w, jobs, queries, pending, deques, publog, mark, out, ctr,
                         );
                     });
                     task
@@ -1218,52 +1210,41 @@ impl Engine {
                         }
                     }
                 }
-                let worker = &workers[w];
-                let now = worker.stats;
-                let prev = &mut prev_stats[w];
-                if self.metrics.is_some() {
-                    let c = &counters[w];
-                    shards.push(ShardMetrics {
-                        worker: w,
-                        queries: c.executed,
-                        stolen: c.stolen,
-                        steals: c.steals,
-                        steal_attempts: c.steal_attempts,
-                        published: c.published,
-                        drained: c.drained,
-                        busy_us: c.busy_us,
-                        idle_us: c.idle_us,
-                        promoted: promoted[w],
-                        budget_steps: now.budget_steps - prev.budget_steps,
-                        derivative_steps: now.derivative_steps - prev.derivative_steps,
-                    });
-                }
-                self.stats.absorb_delta(prev, &now);
-                self.stats.peak_arena_nodes =
-                    self.stats.peak_arena_nodes.max(worker.schema.pool.len());
-                *prev = now;
-            }
-            if let Some(m) = &mut self.metrics {
-                for (w, worker) in workers.iter().enumerate() {
-                    if let Some(wm) = worker.metrics.as_deref() {
-                        m.absorb_delta(&prev_metrics[w], wm);
-                        prev_metrics[w] = wm.clone();
-                    }
-                }
-                m.waves.push(WaveMetrics {
-                    queries: wave_queries,
-                    memo_answered,
-                    merged_answered,
-                    dispatched: pending.len() as u64,
-                    steals: counters.iter().map(|c| c.steals).sum(),
-                    steal_attempts: counters.iter().map(|c| c.steal_attempts).sum(),
-                    published: counters.iter().map(|c| c.published).sum(),
-                    elapsed_us: wave_start
-                        .map_or(0, |t| t.elapsed().as_micros().min(u64::MAX as u128) as u64),
-                    shards,
-                    ..WaveMetrics::default()
+                let (now, prev) = (&workers[w].metrics, &mut snapshots[w]);
+                let c = &counters[w];
+                shards.push(ShardMetrics {
+                    worker: w,
+                    queries: c.executed,
+                    stolen: c.stolen,
+                    steals: c.steals,
+                    steal_attempts: c.steal_attempts,
+                    published: c.published,
+                    drained: c.drained,
+                    busy_us: c.busy_us,
+                    idle_us: c.idle_us,
+                    promoted: promoted[w],
+                    budget_steps: now.budget_steps - prev.budget_steps,
+                    derivative_steps: now.derivative_steps - prev.derivative_steps,
                 });
+                self.metrics.absorb_delta(prev, now);
+                self.metrics.pool_high_water = self
+                    .metrics
+                    .pool_high_water
+                    .max(workers[w].schema.pool.len());
+                prev.clone_from(now);
             }
+            self.metrics.waves.push(WaveMetrics {
+                queries: wave_queries,
+                memo_answered,
+                merged_answered,
+                dispatched: pending.len() as u64,
+                steals: counters.iter().map(|c| c.steals).sum(),
+                steal_attempts: counters.iter().map(|c| c.steal_attempts).sum(),
+                published: counters.iter().map(|c| c.published).sum(),
+                elapsed_us: wave_start.elapsed().as_micros().min(u64::MAX as u128) as u64,
+                shards,
+                ..WaveMetrics::default()
+            });
         }
         // Run end: fold in the term-pure caches, the provisional
         // diagnostics and the dependency recordings once, so a later query
@@ -1314,14 +1295,13 @@ impl Engine {
         mark: &mut usize,
         out: &mut Vec<(usize, Outcome)>,
         ctr: &mut WorkerCounters,
-        timed: bool,
     ) {
         self.publish = Some(Vec::new());
         loop {
             let (batch, stolen) = match deques[w].pop_front() {
                 Some(b) => (b, false),
                 None => {
-                    let idle_start = timed.then(std::time::Instant::now);
+                    let idle_start = std::time::Instant::now();
                     let mut got = None;
                     'steal: loop {
                         for attempt in 0..(2 * jobs as u64) {
@@ -1337,9 +1317,7 @@ impl Engine {
                         }
                         std::thread::yield_now();
                     }
-                    if let Some(t) = idle_start {
-                        ctr.idle_us += t.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                    }
+                    ctr.idle_us += idle_start.elapsed().as_micros().min(u64::MAX as u128) as u64;
                     match got {
                         Some(b) => {
                             ctr.steals += 1;
@@ -1361,7 +1339,7 @@ impl Engine {
                     self.failures.entry(v.pair).or_insert_with(|| f.clone());
                 }
             }) as u64;
-            let busy_start = timed.then(std::time::Instant::now);
+            let busy_start = std::time::Instant::now();
             for i in batch.start..batch.start + batch.len {
                 let qi = pending[i as usize];
                 let (node, shape) = queries[qi];
@@ -1376,9 +1354,7 @@ impl Engine {
                 }
                 self.flush_published(publog, w, ctr);
             }
-            if let Some(t) = busy_start {
-                ctr.busy_us += t.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            }
+            ctr.busy_us += busy_start.elapsed().as_micros().min(u64::MAX as u128) as u64;
         }
         self.publish = None;
     }
@@ -1554,14 +1530,9 @@ impl Engine {
                 }
             }
         }
-        self.stats.invalidated_pairs += invalidated;
-        self.stats.reused_pairs += reused;
-        self.stats.retyped_pairs += retyped;
-        self.metric(|m| {
-            m.delta_invalidated += invalidated;
-            m.delta_reused += reused;
-            m.delta_retyped += retyped;
-        });
+        self.metrics.delta_invalidated += invalidated;
+        self.metrics.delta_reused += reused;
+        self.metrics.delta_retyped += retyped;
         self.type_all_par(graph, terms, jobs)
     }
 
@@ -1640,7 +1611,7 @@ impl Engine {
                 }
             }
         }
-        self.stats.reused_pairs += moved as u64;
+        self.metrics.delta_reused += moved as u64;
         moved
     }
 
@@ -1804,13 +1775,9 @@ impl Engine {
             conditional: HashSet::new(),
             in_progress: HashSet::new(),
             failures: self.failures.clone(),
-            stats: Stats::default(),
             meter: BudgetMeter::default(),
             governor: Some(Arc::clone(governor)),
-            metrics: self
-                .config
-                .metrics
-                .then(|| Box::new(Metrics::new(self.schema.shapes.len()))),
+            metrics: Metrics::new(self.schema.shapes.len()),
             deps: TripleDeps::default(),
             dep_stack: Vec::new(),
             ref_heads: self.ref_heads.clone(),
@@ -1838,7 +1805,6 @@ impl Engine {
         if self.provisional.is_empty() {
             return;
         }
-        let stats = self.stats;
         let metrics = self.metrics.clone();
         let mut exhausted: FxHashSet<Pair> = FxHashSet::default();
         loop {
@@ -1882,7 +1848,6 @@ impl Engine {
         }
         self.provisional = exhausted;
         self.begin_run();
-        self.stats = stats;
         self.metrics = metrics;
     }
 
@@ -1991,10 +1956,10 @@ impl Engine {
             return Ok(true);
         }
         self.in_progress.insert(pair);
-        self.stats.node_checks += 1;
+        self.metrics.node_checks += 1;
         self.meter.step()?;
         self.meter.enter_depth()?;
-        let steps_before = self.stats.derivative_steps;
+        let steps_before = self.metrics.derivative_steps;
         if self.config.incremental {
             // Neighbourhood read: this evaluation is about to consume the
             // node's outgoing arcs (and, for inverse-capable shapes, its
@@ -2013,20 +1978,18 @@ impl Engine {
         }
         self.meter.exit_depth();
         let ok = result?;
-        let steps_after = self.stats.derivative_steps;
-        self.metric(|m| {
-            if let Some(sm) = m.per_shape.get_mut(shape.0 as usize) {
-                sm.checks += 1;
-                // Inclusive attribution: nested reference checks count
-                // against the referencing shape too (and against their own).
-                sm.derivative_steps += steps_after - steps_before;
-                if ok {
-                    sm.conforms += 1;
-                } else {
-                    sm.fails += 1;
-                }
+        let steps_after = self.metrics.derivative_steps;
+        if let Some(sm) = self.metrics.per_shape.get_mut(shape.0 as usize) {
+            sm.checks += 1;
+            // Inclusive attribution: nested reference checks count
+            // against the referencing shape too (and against their own).
+            sm.derivative_steps += steps_after - steps_before;
+            if ok {
+                sm.conforms += 1;
+            } else {
+                sm.fails += 1;
             }
-        });
+        }
         self.in_progress.remove(&pair);
         if !ok && !local.is_empty() {
             self.provisional.insert(pair);
@@ -2197,7 +2160,7 @@ impl Engine {
             for pair in self.conditional.drain() {
                 self.memo.remove(&pair);
             }
-            self.stats.exhausted_checks += 1;
+            self.metrics.exhausted_checks += 1;
         }
         self.fold_meter();
         result
@@ -2252,12 +2215,9 @@ impl Engine {
         triples: &[(TermId, TermId, bool, TermId, TermId)],
         deps: &mut BTreeSet<Pair>,
     ) -> Result<bool, Exhaustion> {
-        self.stats.sorbe_checks += 1;
-        self.metric(|m| {
-            if let Some(sm) = m.per_shape.get_mut(shape.0 as usize) {
-                sm.sorbe_checks += 1;
-            }
-        });
+        if let Some(sm) = self.metrics.per_shape.get_mut(shape.0 as usize) {
+            sm.sorbe_checks += 1;
+        }
         let mut counts = vec![0u32; spec.len()];
         for &(p, other, inverse, ts, to) in triples {
             // One step per triple: the fast path's unit of work.
@@ -2375,9 +2335,9 @@ impl Engine {
         // itself, which records them — no double bookkeeping, and flat
         // shapes (no reference arcs) skip the whole affair.
         let record_refs = self.config.incremental && self.schema.shape(shape).has_refs;
-        self.metric(|m| m.profile_stable.lookups += 1);
+        self.metrics.profile_stable.lookups += 1;
         if let Some(&pid) = self.profile_stable.get(&key) {
-            self.metric(|m| m.profile_stable.hits += 1);
+            self.metrics.profile_stable.hits += 1;
             if record_refs {
                 self.record_profile_ref_edges(shape, pred, other, inverse);
             }
@@ -2385,20 +2345,18 @@ impl Engine {
         }
         // The assumption-carrying table is consulted only on a stable
         // miss, so its lookups count the stable fall-through exactly.
-        self.metric(|m| {
-            m.profile_stable.misses += 1;
-            m.profile_assumption.lookups += 1;
-        });
+        self.metrics.profile_stable.misses += 1;
+        self.metrics.profile_assumption.lookups += 1;
         if let Some((pid, cached_deps)) = self.profile_by_triple.get(&key) {
             let pid = *pid;
             deps.extend(cached_deps.iter().copied());
-            self.metric(|m| m.profile_assumption.hits += 1);
+            self.metrics.profile_assumption.hits += 1;
             if record_refs {
                 self.record_profile_ref_edges(shape, pred, other, inverse);
             }
             return Ok(pid);
         }
-        self.metric(|m| m.profile_assumption.misses += 1);
+        self.metrics.profile_assumption.misses += 1;
         self.meter.step()?;
         // Only arcs whose head covers `(pred, inverse)` can set a bit —
         // the compile-time head index hands us exactly those instead of a
@@ -2412,13 +2370,12 @@ impl Engine {
                     .collect::<Vec<ArcId>>(),
             )
         };
-        self.metric(|m| {
-            m.head_index_queries += 1;
-            m.head_index_candidates += candidates.len() as u64;
-            if let Some(sm) = m.per_shape.get_mut(shape.0 as usize) {
-                sm.profiles_computed += 1;
-            }
-        });
+        let m = &mut self.metrics;
+        m.head_index_queries += 1;
+        m.head_index_candidates += candidates.len() as u64;
+        if let Some(sm) = m.per_shape.get_mut(shape.0 as usize) {
+            sm.profiles_computed += 1;
+        }
         let mut bits = vec![0u64; n_arcs.div_ceil(64)];
         let mut used: Vec<Pair> = Vec::new();
         for arc_id in candidates {
@@ -2444,14 +2401,14 @@ impl Engine {
         }
         let bits: Box<[u64]> = bits.into();
         let next = ProfileId(self.profile_bits.len() as u32);
-        let stats = &mut self.stats;
+        let metrics = &mut self.metrics;
         let profile_bits = &mut self.profile_bits;
         let pid = *self
             .profile_ids
             .entry((shape, bits.clone()))
             .or_insert_with(|| {
                 profile_bits.push(bits);
-                stats.triple_classes += 1;
+                metrics.triple_classes += 1;
                 next
             });
         if pid == next {
@@ -2464,11 +2421,9 @@ impl Engine {
                 let (c, fresh_class) = self.dfas[shape.index()].intern_class(masked);
                 if fresh_class {
                     let classes = self.dfas[shape.index()].classes() as u64;
-                    self.metric(|m| {
-                        if let Some(d) = m.per_shape_dfa.get_mut(shape.0 as usize) {
-                            d.classes = d.classes.max(classes);
-                        }
-                    });
+                    if let Some(d) = self.metrics.per_shape_dfa.get_mut(shape.0 as usize) {
+                        d.classes = d.classes.max(classes);
+                    }
                 }
                 c
             } else {
@@ -2529,12 +2484,11 @@ impl Engine {
         let (s, fresh) = self.dfas[shape.index()].intern_state(e, nullable);
         if fresh {
             let states = self.dfas[shape.index()].states() as u64;
-            self.metric(|m| {
-                m.dfa_states += 1;
-                if let Some(d) = m.per_shape_dfa.get_mut(shape.0 as usize) {
-                    d.states = d.states.max(states);
-                }
-            });
+            let m = &mut self.metrics;
+            m.dfa_states += 1;
+            if let Some(d) = m.per_shape_dfa.get_mut(shape.0 as usize) {
+                d.states = d.states.max(states);
+            }
         }
         s
     }
@@ -2555,16 +2509,15 @@ impl Engine {
             let shape = self.profile_shape[pid.0 as usize];
             let class = self.class_local[pid.0 as usize];
             let src = self.dfa_state(shape, e);
-            self.metric(|m| m.dfa_table.lookups += 1);
+            self.metrics.dfa_table.lookups += 1;
             if let Some(d) = self.dfas[shape.index()].target(src, class) {
-                self.stats.deriv_memo_hits += 1;
-                self.metric(|m| m.dfa_table.hits += 1);
+                self.metrics.dfa_table.hits += 1;
                 return Ok(d);
             }
-            self.metric(|m| m.dfa_table.misses += 1);
+            self.metrics.dfa_table.misses += 1;
             Some((shape, src, class))
         };
-        self.stats.derivative_steps += 1;
+        self.metrics.derivative_steps += 1;
         self.meter.step()?;
         let d = match self.schema.pool.node(e) {
             // ∂t(∅) = ∅, ∂t(ε) = ∅

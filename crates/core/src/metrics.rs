@@ -1,29 +1,25 @@
-//! Fine-grained observability counters for the derivative engine.
+//! The derivative engine's counters: one record, always collected.
 //!
-//! [`Stats`](crate::result::Stats) answers "how much work happened";
-//! [`Metrics`] answers *where* it happened: cache-level hit/miss splits
+//! [`Metrics`] holds every counter the engine keeps — how much work
+//! happened (derivative steps, node checks, gfp reruns, budget spend,
+//! delta reuse) and *where* it happened: cache-level hit/miss splits
 //! (the stable vs. assumption-carrying profile caches behave very
 //! differently under gfp reruns), per-shape attribution, `HeadIndex`
 //! selectivity, and — for [`Engine::type_all_par`] — per-wave timings and
-//! per-shard merge accounting.
-//!
-//! Collection is **off by default** and gated by
-//! [`EngineConfig::metrics`](crate::EngineConfig): when disabled the
-//! engine holds no `Metrics` allocation at all and every instrumentation
-//! site reduces to one branch on an `Option` discriminant — nothing is
-//! counted, nothing is timed.
+//! per-shard merge accounting. Each counter is stored and incremented in
+//! exactly one place; [`Stats`](crate::result::Stats) is a snapshot
+//! computed from this record by [`Engine::stats`], so the report's
+//! `stats` and `metrics` blocks agree wherever they show the same count.
 //!
 //! Merge discipline (also documented in `DESIGN.md`): parallel workers
-//! collect into private `Metrics`/`Stats` shards; at each wave boundary
-//! the coordinator folds in exactly the *delta* each shard accumulated
-//! since the previous boundary ([`Metrics::absorb_delta`]). Counters are
-//! therefore merged exactly once — re-seeding the promotion log never
-//! re-counts them, and workers idle in a wave contribute an empty delta
-//! rather than being dropped.
+//! collect into private records; at each epoch boundary the coordinator
+//! folds in exactly the *delta* each worker accumulated since the
+//! previous boundary ([`Metrics::absorb_delta`]). Counters are therefore
+//! merged exactly once — workers idle in an epoch contribute an empty
+//! delta rather than being dropped.
 //!
 //! [`Engine::type_all_par`]: crate::Engine::type_all_par
-
-use std::fmt;
+//! [`Engine::stats`]: crate::Engine::stats
 
 /// Hit/miss counters for one memo table. The defining invariant — checked
 /// by the metric-invariant proptests — is `lookups == hits + misses`
@@ -134,8 +130,7 @@ pub struct ShardMetrics {
     pub published: u64,
     /// Verdicts this worker drained from peers' publications mid-epoch.
     pub drained: u64,
-    /// Microseconds spent executing queries (only collected when metrics
-    /// are enabled).
+    /// Microseconds spent executing queries.
     pub busy_us: u64,
     /// Microseconds spent probing for work with an empty deque.
     pub idle_us: u64,
@@ -184,10 +179,23 @@ pub struct WaveMetrics {
     pub shards: Vec<ShardMetrics>,
 }
 
-/// The engine's observability counters; see the module docs for the
-/// collection and merge discipline.
+/// The engine's counter record; see the module docs for the collection
+/// and merge discipline.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
+    /// Individual derivative-rule applications (`∂` node visits).
+    pub derivative_steps: u64,
+    /// Distinct triple classes (satisfaction profiles) interned.
+    pub triple_classes: u64,
+    /// `(node, shape)` checks actually evaluated (memo misses).
+    pub node_checks: u64,
+    /// Greatest-fixpoint restarts triggered by failed coinductive
+    /// assumptions.
+    pub gfp_reruns: u64,
+    /// Queries aborted by budget exhaustion.
+    pub exhausted_checks: u64,
+    /// Deepest `(node, shape)` recursion any query reached.
+    pub max_depth_reached: u32,
     /// Stable (assumption-free) profile-cache behaviour. A hit here means
     /// the triple's satisfaction profile was a persistent fact.
     pub profile_stable: CacheMetrics,
@@ -210,6 +218,10 @@ pub struct Metrics {
     pub head_index_candidates: u64,
     /// Largest expression-arena size observed by any query's meter.
     pub arena_high_water: usize,
+    /// Largest expression pool a parallel worker held at an epoch
+    /// boundary ([`Engine::stats`](crate::Engine::stats) folds it, the
+    /// meter high-water and the live pool into `peak_arena_nodes`).
+    pub pool_high_water: usize,
     /// Budget steps charged across all queries.
     pub budget_steps: u64,
     /// Memoised pairs dropped by
@@ -222,8 +234,9 @@ pub struct Metrics {
     pub delta_reused: u64,
     /// Per-shape attribution, indexed by `ShapeId`.
     pub per_shape: Vec<ShapeMetrics>,
-    /// Wave records; non-empty only after a parallel
-    /// [`type_all_par`](crate::Engine::type_all_par) run.
+    /// The epoch records of the latest
+    /// [`type_all_par`](crate::Engine::type_all_par) call; empty when it
+    /// took the sequential path.
     pub waves: Vec<WaveMetrics>,
 }
 
@@ -250,11 +263,26 @@ impl Metrics {
         self.profile_assumption.misses
     }
 
+    /// Checks answered by the SORBE counting fast path, summed over
+    /// shapes.
+    pub fn sorbe_checks(&self) -> u64 {
+        self.per_shape.iter().map(|s| s.sorbe_checks).sum()
+    }
+
     /// Folds in the delta another collector accumulated between the
-    /// `prev` and `now` snapshots — the wave-boundary merge primitive.
+    /// `prev` and `now` snapshots — the epoch-boundary merge primitive.
     /// Monotone counters add the difference; high-water marks take the
     /// max of the *absolute* value (a high-water mark is not a rate).
+    /// Calling this once per epoch with an advancing `prev` counts every
+    /// increment exactly once. `triple_classes` becomes an over-count
+    /// across workers, since each worker interns its own class table.
     pub fn absorb_delta(&mut self, prev: &Metrics, now: &Metrics) {
+        self.derivative_steps += now.derivative_steps - prev.derivative_steps;
+        self.triple_classes += now.triple_classes - prev.triple_classes;
+        self.node_checks += now.node_checks - prev.node_checks;
+        self.gfp_reruns += now.gfp_reruns - prev.gfp_reruns;
+        self.exhausted_checks += now.exhausted_checks - prev.exhausted_checks;
+        self.max_depth_reached = self.max_depth_reached.max(now.max_depth_reached);
         self.profile_stable
             .absorb_delta(&prev.profile_stable, &now.profile_stable);
         self.profile_assumption
@@ -373,32 +401,6 @@ impl Metrics {
     }
 }
 
-impl fmt::Display for Metrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "profile-stable={}/{} profile-assume={}/{} \
-             dfa-table={}/{} dfa-states={} \
-             head-index={}q/{}c arena-hwm={} budget-steps={}",
-            self.profile_stable.hits,
-            self.profile_stable.lookups,
-            self.profile_assumption.hits,
-            self.profile_assumption.lookups,
-            self.dfa_table.hits,
-            self.dfa_table.lookups,
-            self.dfa_states,
-            self.head_index_queries,
-            self.head_index_candidates,
-            self.arena_high_water,
-            self.budget_steps,
-        )?;
-        if !self.waves.is_empty() {
-            write!(f, " waves={}", self.waves.len())?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,10 +427,14 @@ mod tests {
                 misses: 1,
             },
             budget_steps: 100,
+            derivative_steps: 30,
+            max_depth_reached: 7,
+            delta_reused: 2,
             arena_high_water: 10,
             per_shape: vec![
                 ShapeMetrics {
                     checks: 1,
+                    sorbe_checks: 1,
                     ..ShapeMetrics::default()
                 },
                 ShapeMetrics::default(),
@@ -442,14 +448,19 @@ mod tests {
                 misses: 3,
             },
             budget_steps: 150,
+            derivative_steps: 45,
+            max_depth_reached: 5,
+            delta_reused: 3,
             arena_high_water: 40,
             per_shape: vec![
                 ShapeMetrics {
                     checks: 3,
+                    sorbe_checks: 2,
                     ..ShapeMetrics::default()
                 },
                 ShapeMetrics {
                     checks: 2,
+                    sorbe_checks: 4,
                     ..ShapeMetrics::default()
                 },
             ],
@@ -460,20 +471,17 @@ mod tests {
         assert_eq!(total.dfa_table.hits, 2);
         assert_eq!(total.dfa_table.misses, 2);
         assert_eq!(total.budget_steps, 50);
+        assert_eq!(total.derivative_steps, 15);
+        assert_eq!(total.delta_reused, 1);
+        // Levels, not rates: the high-water marks take the absolute max.
+        assert_eq!(total.max_depth_reached, 5);
         assert_eq!(total.arena_high_water, 40);
         assert_eq!(total.per_shape[0].checks, 2);
         assert_eq!(total.per_shape[1].checks, 2);
+        assert_eq!(total.sorbe_checks(), 5);
         // Absorbing the same delta window twice would double-count; the
         // engine's epoch loop advances `prev` to `now` after every merge.
         total.absorb_delta(&now, &now);
         assert_eq!(total.budget_steps, 50);
-    }
-
-    #[test]
-    fn display_is_compact() {
-        let m = Metrics::new(1);
-        let s = m.to_string();
-        assert!(s.contains("dfa-table=0/0"), "{s}");
-        assert!(!s.contains("waves"), "{s}");
     }
 }

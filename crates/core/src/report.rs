@@ -22,8 +22,7 @@ use shapex_shex::shapemap::ShapeMap;
 use crate::budget::Exhaustion;
 use crate::compile::ShapeId;
 use crate::engine::{Engine, EngineError, MapOutcome, Trace};
-use crate::metrics::Metrics;
-use crate::result::{Stats, Typing};
+use crate::result::Typing;
 
 /// How a run ended — the one source of the exit code the CLI returns and
 /// the server sends in its `X-Shapex-Exit` header.
@@ -124,14 +123,15 @@ pub fn exhaustion_json(e: &Exhaustion) -> Value {
     e.to_json()
 }
 
-/// The `stats` block.
-pub fn stats_json(s: &Stats) -> Value {
-    s.to_json()
-}
-
-/// The `metrics` block; `labels(i)` names shape `i` for per-shape rows.
-pub fn metrics_json(m: &Metrics, labels: &dyn Fn(usize) -> String) -> Value {
-    m.to_json(labels)
+/// An engine's `stats` and `metrics` blocks, keyed and in document
+/// order — every report and the server's `/stats` attach them through
+/// this one function.
+pub fn counter_blocks(engine: &Engine) -> [(&'static str, Value); 2] {
+    let labels = |i: usize| engine.label_of(ShapeId(i as u32)).as_str().to_string();
+    [
+        ("stats", engine.stats().to_json()),
+        ("metrics", engine.metrics.to_json(&labels)),
+    ]
 }
 
 /// A §7 derivative trace as structured steps.
@@ -269,10 +269,8 @@ pub fn finish_engine_doc(
     if skipped > 0 {
         doc.set("lenient_skipped", Value::from(skipped));
     }
-    doc.set("stats", stats_json(&engine.stats()));
-    if let Some(m) = engine.metrics() {
-        let labels = |i: usize| engine.label_of(ShapeId(i as u32)).as_str().to_string();
-        doc.set("metrics", metrics_json(m, &labels));
+    for (key, block) in counter_blocks(engine) {
+        doc.set(key, block);
     }
     render(&doc.finish(conforms))
 }

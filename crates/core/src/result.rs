@@ -261,7 +261,10 @@ impl Typing {
     }
 }
 
-/// Counters exposed for the benchmark harness and the E9 ablations.
+/// A snapshot of the engine's headline counters, computed by
+/// [`Engine::stats`](crate::Engine::stats) from its one counter record
+/// ([`Metrics`](crate::Metrics)) — the `stats` block of a report, the
+/// `--stats` line, and the numbers the E9 ablations read.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Individual derivative-rule applications (`∂` node visits).
@@ -298,51 +301,6 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Folds another engine's counters into this one — used when parallel
-    /// workers' stats are aggregated into the parent engine. Monotone
-    /// counters add; high-water marks take the max. `triple_classes` (and
-    /// the pool-size measures) become an over-count across workers, since
-    /// each worker interns its own class/arena tables.
-    pub fn absorb(&mut self, other: &Stats) {
-        self.derivative_steps += other.derivative_steps;
-        self.deriv_memo_hits += other.deriv_memo_hits;
-        self.triple_classes += other.triple_classes;
-        self.node_checks += other.node_checks;
-        self.gfp_reruns += other.gfp_reruns;
-        self.sorbe_checks += other.sorbe_checks;
-        self.budget_steps += other.budget_steps;
-        self.exhausted_checks += other.exhausted_checks;
-        self.invalidated_pairs += other.invalidated_pairs;
-        self.retyped_pairs += other.retyped_pairs;
-        self.reused_pairs += other.reused_pairs;
-        self.expr_pool_size = self.expr_pool_size.max(other.expr_pool_size);
-        self.peak_arena_nodes = self.peak_arena_nodes.max(other.peak_arena_nodes);
-        self.max_depth_reached = self.max_depth_reached.max(other.max_depth_reached);
-    }
-
-    /// Folds in the delta a worker accumulated between the `prev` and
-    /// `now` snapshots — the epoch-boundary merge primitive of
-    /// [`type_all_par`](crate::Engine::type_all_par). Monotone counters
-    /// add the difference; high-water marks take the max of the absolute
-    /// value (they are levels, not rates). Calling this once per epoch
-    /// with an advancing `prev` counts every increment exactly once.
-    pub fn absorb_delta(&mut self, prev: &Stats, now: &Stats) {
-        self.derivative_steps += now.derivative_steps - prev.derivative_steps;
-        self.deriv_memo_hits += now.deriv_memo_hits - prev.deriv_memo_hits;
-        self.triple_classes += now.triple_classes - prev.triple_classes;
-        self.node_checks += now.node_checks - prev.node_checks;
-        self.gfp_reruns += now.gfp_reruns - prev.gfp_reruns;
-        self.sorbe_checks += now.sorbe_checks - prev.sorbe_checks;
-        self.budget_steps += now.budget_steps - prev.budget_steps;
-        self.exhausted_checks += now.exhausted_checks - prev.exhausted_checks;
-        self.invalidated_pairs += now.invalidated_pairs - prev.invalidated_pairs;
-        self.retyped_pairs += now.retyped_pairs - prev.retyped_pairs;
-        self.reused_pairs += now.reused_pairs - prev.reused_pairs;
-        self.expr_pool_size = self.expr_pool_size.max(now.expr_pool_size);
-        self.peak_arena_nodes = self.peak_arena_nodes.max(now.peak_arena_nodes);
-        self.max_depth_reached = self.max_depth_reached.max(now.max_depth_reached);
-    }
-
     /// The counters as a JSON object (the `stats` member of the
     /// `--report json` document — schema documented in `DESIGN.md`).
     pub fn to_json(&self) -> serde_json::Value {

@@ -12,7 +12,6 @@ fn report(incremental: bool, schema_src: &str, data_src: &str) -> String {
     let schema = shapex_shex::shexc::parse(schema_src).unwrap();
     let mut ds = shapex_rdf::turtle::parse(data_src).unwrap();
     let config = EngineConfig {
-        metrics: true,
         incremental,
         ..EngineConfig::default()
     };

@@ -106,10 +106,9 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The engine configuration every entry is compiled with: metrics on
-    /// (report documents always carry them), incremental on (the `/delta`
-    /// endpoint consumes the dependency index), budget from the server
-    /// limits.
+    /// The engine configuration every entry is compiled with: incremental
+    /// on (the `/delta` endpoint consumes the dependency index), budget
+    /// from the server limits.
     pub fn engine_config(&self) -> EngineConfig {
         EngineConfig {
             closure: if self.open {
@@ -117,7 +116,6 @@ impl ServerConfig {
             } else {
                 shapex::Closure::Closed
             },
-            metrics: true,
             incremental: true,
             budget: self.budget,
             ..EngineConfig::default()

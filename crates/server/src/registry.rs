@@ -113,8 +113,9 @@ struct Slot {
 
 /// The engine half of a slot, by schema language.
 enum SlotKind {
-    /// A ShEx entry: the bare engine, driven by the typing endpoints.
-    Shex(Engine),
+    /// A ShEx entry: the bare engine, driven by the typing endpoints
+    /// (boxed, as the engine is large).
+    Shex(Box<Engine>),
     /// A SHACL entry: the engine wrapped in the target-selection /
     /// verdict-logic front end (boxed: the validator carries the compiled
     /// front-end schema alongside the engine).
@@ -176,7 +177,7 @@ fn build_slot(
                 shapex_shex::shexc::parse(schema_src).map_err(|e| format!("schema: {e}"))?;
             let engine =
                 Engine::compile(&schema, &mut ds.pool, config).map_err(|e| e.to_string())?;
-            SlotKind::Shex(engine)
+            SlotKind::Shex(Box::new(engine))
         }
         SchemaFormat::Shacl => {
             // A shapes graph is ordinary RDF: parse with the Turtle front
@@ -233,7 +234,7 @@ fn warm_swap(
             engine.transplant_verdicts(old_engine, &diff.reusable);
         }
     }
-    slot.kind = SlotKind::Shex(engine);
+    slot.kind = SlotKind::Shex(Box::new(engine));
     Ok(slot)
 }
 
@@ -295,6 +296,9 @@ impl Registry {
     /// with a hot memo instead of a cold scratch build, and its graph and
     /// delta log are kept as-is. Quarantined entries always take the cold
     /// path: their state is untrusted by definition.
+    // Seven parameters, kept: external callers compile against this
+    // signature.
+    #[allow(clippy::too_many_arguments)]
     pub fn load(
         &self,
         id: &str,
@@ -590,16 +594,8 @@ impl Registry {
                         SchemaFormat::Shacl => "shacl",
                     }),
                 );
-                m.insert("stats".to_string(), slot.kind.engine().stats().to_json());
-                if let Some(metrics) = slot.kind.engine().metrics() {
-                    let engine = slot.kind.engine();
-                    let labels = |i: usize| {
-                        engine
-                            .label_of(shapex::ShapeId(i as u32))
-                            .as_str()
-                            .to_string()
-                    };
-                    m.insert("metrics".to_string(), metrics.to_json(&labels));
+                for (key, block) in shapex::report::counter_blocks(slot.kind.engine()) {
+                    m.insert(key.to_string(), block);
                 }
             }
             out.insert(id.clone(), Value::Object(m));

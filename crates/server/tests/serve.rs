@@ -141,11 +141,8 @@ fn reference_report_for(schema_src: &str, deltas: &[&str]) -> String {
         let d = shapex_rdf::delta::parse(text, &mut ds.pool).unwrap();
         ds.try_apply_delta(&d).unwrap();
     }
-    let config = shapex::EngineConfig {
-        metrics: true,
-        ..shapex::EngineConfig::default()
-    };
-    let mut engine = shapex::Engine::compile(&schema, &mut ds.pool, config).unwrap();
+    let mut engine =
+        shapex::Engine::compile(&schema, &mut ds.pool, shapex::EngineConfig::default()).unwrap();
     let typing = engine.type_all_par(&ds.graph, &ds.pool, 1);
     let mut doc = ReportDoc::new("typing", "derivative");
     push_typing_rows(&mut doc, &mut engine, &ds.graph, &ds.pool, &typing);
@@ -419,6 +416,15 @@ fn reload_same_data_swaps_schema_warm() {
         reused >= 3,
         "john, bob, mary × <Person> transplanted, got {reused}"
     );
+    assert_eq!(
+        entry
+            .get("metrics")
+            .and_then(|m| m.get("delta"))
+            .and_then(|d| d.get("reused"))
+            .and_then(|n| n.as_u64()),
+        Some(reused),
+        "the metrics block mirrors stats.reused_pairs"
+    );
 
     // The warm engine's typing is identical to a from-scratch build of
     // the new schema over the delta-repaired graph.
@@ -466,6 +472,48 @@ fn reload_same_data_swaps_schema_warm() {
         "cold build"
     );
 
+    handle.shutdown();
+}
+
+#[test]
+fn wave_records_describe_only_the_latest_run() {
+    let _guard = test_lock();
+    let config = ServerConfig {
+        jobs: 2,
+        ..local_config()
+    };
+    // Enough subjects that a jobs-2 typing takes the parallel path.
+    let mut data = DATA.to_string();
+    for i in 0..20 {
+        data.push_str(&format!(":p{i} foaf:age {i}; foaf:name \"P{i}\" .\n"));
+    }
+    let registry = Arc::new(Registry::new());
+    registry
+        .load(
+            "default",
+            SCHEMA.to_string(),
+            shapex_server::registry::SchemaFormat::Shex,
+            data,
+            shapex_server::registry::DataFormat::Turtle,
+            config.engine_config(),
+            config.jobs,
+        )
+        .expect("loading entry");
+    let handle = start(config, registry).expect("starting server");
+    let waves: Vec<usize> = (0..3)
+        .map(|_| {
+            let response = request(&handle, "POST", "/validate", "");
+            assert_eq!(response.status, 200);
+            let doc: serde_json::Value = serde_json::from_str(&response.body).expect("JSON");
+            doc.get("metrics")
+                .and_then(|m| m.get("waves"))
+                .and_then(|w| w.as_array())
+                .expect("metrics.waves")
+                .len()
+        })
+        .collect();
+    assert!(waves[0] > 0, "the jobs-2 entry typed sequentially");
+    assert_eq!(waves, vec![waves[0]; 3], "wave records accumulated");
     handle.shutdown();
 }
 

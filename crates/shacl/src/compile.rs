@@ -166,12 +166,12 @@ pub fn compile(shapes_graph: &Dataset) -> Result<ShaclSchema, ShaclError> {
     // plus auxiliary `rdf:type` shapes for `sh:class` value checks.
     let mut aux: BTreeMap<Vec<Box<str>>, ShapeLabel> = BTreeMap::new();
     let mut rules: Vec<(ShapeLabel, ShapeExpr)> = Vec::new();
-    for i in 0..ids.len() {
-        let (expr, checks) = ctx.build_expr(&shapes[i], &mut aux)?;
-        shapes[i].value_checks = checks;
+    for shape in shapes.iter_mut() {
+        let (expr, checks) = ctx.build_expr(shape, &mut aux)?;
+        shape.value_checks = checks;
         if let Some(expr) = expr {
-            let label = ShapeLabel::new(shapes[i].label.clone());
-            shapes[i].engine_label = Some(label.clone());
+            let label = ShapeLabel::new(shape.label.clone());
+            shape.engine_label = Some(label.clone());
             rules.push((label, expr));
         }
     }

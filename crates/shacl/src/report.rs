@@ -9,8 +9,8 @@
 
 use serde_json::{Map, Value};
 
-use shapex::report::{metrics_json, render, stats_json};
-use shapex::{Engine, ShapeId};
+use shapex::report::{counter_blocks, render};
+use shapex::Engine;
 
 use crate::validate::{ShaclOutcome, ValidationResult};
 
@@ -52,10 +52,8 @@ pub fn shacl_report(outcome: &ShaclOutcome, engine: &Engine) -> String {
             ),
         );
     }
-    doc.insert("stats".into(), stats_json(&engine.stats()));
-    if let Some(m) = engine.metrics() {
-        let labels = |i: usize| engine.label_of(ShapeId(i as u32)).as_str().to_string();
-        doc.insert("metrics".into(), metrics_json(m, &labels));
+    for (key, block) in counter_blocks(engine) {
+        doc.insert(key.into(), block);
     }
     render(&Value::Object(doc))
 }

@@ -391,7 +391,6 @@ proptest! {
             &mut ds.pool,
             EngineConfig {
                 budget: shapex::Budget::steps(limit),
-                metrics: true,
                 ..EngineConfig::default()
             },
         )
@@ -405,7 +404,7 @@ proptest! {
             stats.budget_steps <= limit,
             "spent {} steps past the {} limit", stats.budget_steps, limit
         );
-        let m = engine.metrics().expect("metrics enabled");
+        let m = engine.metrics().expect("always collected");
         for (name, c) in [
             ("profile_stable", &m.profile_stable),
             ("profile_assumption", &m.profile_assumption),

@@ -242,43 +242,39 @@ proptest! {
     }
 
     /// Round trip: applying a delta and then its inverse restores the
-    /// original typing byte-for-byte (rendered output included), with
-    /// metrics on and off.
+    /// original typing byte-for-byte (rendered output included).
     #[test]
     fn delta_roundtrip_restores_typing(
         schema in arb_ref_schema(),
         base in arb_triples(8),
         edit in arb_delta()
     ) {
-        for metrics in [false, true] {
-            let config = EngineConfig { metrics, ..EngineConfig::default() };
-            let mut ds = build_dataset(&base);
-            let mut engine = incremental_engine(&schema, &mut ds, config);
-            let before = engine.type_all(&ds.graph, &ds.pool);
-            let rendered_before =
-                before.render(&ds.pool, &|s| engine.label_of(s).clone());
-            let delta = build_delta(&mut ds, &base, &edit);
-            let applied = ds.apply_delta(&delta);
-            engine.revalidate(&ds.graph, &ds.pool, &delta).expect("delta applied");
-            // Structural revert plus the *effective* inverse's revalidation.
-            // (The logical `delta.inverse()` may claim to add triples a
-            // missed removal never touched — the effective inverse from
-            // the AppliedDelta is what actually describes the revert.)
-            ds.revert_delta(&applied);
-            let inverse = GraphDelta {
-                removed: applied.added_triples().collect(),
-                added: applied.removed_triples().collect(),
-            };
-            let after = engine.revalidate(&ds.graph, &ds.pool, &inverse).expect("reverted");
-            let rendered_after =
-                after.render(&ds.pool, &|s| engine.label_of(s).clone());
-            prop_assert_eq!(
-                &before, &after,
-                "metrics={}: round trip changed the typing (base={:?} edit={:?})",
-                metrics, base, edit
-            );
-            prop_assert_eq!(rendered_before, rendered_after);
-        }
+        let mut ds = build_dataset(&base);
+        let mut engine = incremental_engine(&schema, &mut ds, EngineConfig::default());
+        let before = engine.type_all(&ds.graph, &ds.pool);
+        let rendered_before =
+            before.render(&ds.pool, &|s| engine.label_of(s).clone());
+        let delta = build_delta(&mut ds, &base, &edit);
+        let applied = ds.apply_delta(&delta);
+        engine.revalidate(&ds.graph, &ds.pool, &delta).expect("delta applied");
+        // Structural revert plus the *effective* inverse's revalidation.
+        // (The logical `delta.inverse()` may claim to add triples a
+        // missed removal never touched — the effective inverse from
+        // the AppliedDelta is what actually describes the revert.)
+        ds.revert_delta(&applied);
+        let inverse = GraphDelta {
+            removed: applied.added_triples().collect(),
+            added: applied.removed_triples().collect(),
+        };
+        let after = engine.revalidate(&ds.graph, &ds.pool, &inverse).expect("reverted");
+        let rendered_after =
+            after.render(&ds.pool, &|s| engine.label_of(s).clone());
+        prop_assert_eq!(
+            &before, &after,
+            "round trip changed the typing (base={:?} edit={:?})",
+            base, edit
+        );
+        prop_assert_eq!(rendered_before, rendered_after);
     }
 
     /// An empty delta invalidates nothing and retypes nothing: every pair

@@ -9,6 +9,10 @@
 //! never memoised, so sharding cannot change any total. (Without a budget
 //! the totals legitimately diverge: parallel workers re-derive recursive
 //! sub-proofs a sequential run would answer from its shared memo.)
+//!
+//! The `stats` and `metrics` report blocks show some counts twice; they
+//! are one stored counter, so every such pair must agree after every kind
+//! of run (`assert_mirrors`).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -27,18 +31,53 @@ fn pathological(name: &str) -> (shapex_shex::Schema, Dataset) {
     (schema, ds)
 }
 
+fn fixture(rel: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../fixtures")
+        .join(rel);
+    fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"))
+}
+
+/// Asserts that every count the `stats` block and the `metrics` block
+/// both show is equal.
+fn assert_mirrors(what: &str, engine: &Engine) {
+    let s = engine.stats();
+    let m = engine.metrics().expect("always collected");
+    for (field, a, b) in [
+        ("budget_steps", s.budget_steps, m.budget_steps),
+        (
+            "deriv_memo_hits/dfa_table.hits",
+            s.deriv_memo_hits,
+            m.dfa_table.hits,
+        ),
+        (
+            "invalidated_pairs/delta.invalidated",
+            s.invalidated_pairs,
+            m.delta_invalidated,
+        ),
+        (
+            "retyped_pairs/delta.retyped",
+            s.retyped_pairs,
+            m.delta_retyped,
+        ),
+        ("reused_pairs/delta.reused", s.reused_pairs, m.delta_reused),
+    ] {
+        assert_eq!(a, b, "{what}: stats and metrics disagree on {field}");
+    }
+}
+
 /// Runs the full typing at the given worker count and returns the final
 /// coordinator-side counters.
 fn run(name: &str, budget: Budget, jobs: usize) -> (Stats, Metrics, usize, usize) {
     let (schema, mut ds) = pathological(name);
     let config = EngineConfig {
         budget,
-        metrics: true,
         ..EngineConfig::default()
     };
     let mut engine = Engine::compile(&schema, &mut ds.pool, config).expect("schema compiles");
     let typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
-    let metrics = engine.metrics().expect("metrics enabled").clone();
+    assert_mirrors(&format!("{name} at jobs={jobs}"), &engine);
+    let metrics = engine.metrics().expect("always collected").clone();
     (
         engine.stats(),
         metrics,
@@ -47,13 +86,19 @@ fn run(name: &str, budget: Budget, jobs: usize) -> (Stats, Metrics, usize, usize
     )
 }
 
-/// Asserts the totals that must be sharding-invariant. Arena/pool sizes
-/// are excluded by design: each worker interns its own arena, so those
-/// high-water marks measure per-shard state, not run totals (documented in
-/// `Stats::absorb`).
+/// Asserts the totals that must be sharding-invariant, at 2 and 4
+/// workers. Arena/pool sizes are excluded by design: each worker interns
+/// its own arena, so those high-water marks measure per-shard state, not
+/// run totals (documented in `Metrics::absorb_delta`).
 fn assert_totals_match(name: &str, budget: Budget) {
+    for jobs in [2, 4] {
+        assert_totals_match_at(name, budget, jobs);
+    }
+}
+
+fn assert_totals_match_at(name: &str, budget: Budget, jobs: usize) {
     let (seq, seq_m, seq_typed, seq_exhausted) = run(name, budget, 1);
-    let (par, par_m, par_typed, par_exhausted) = run(name, budget, 4);
+    let (par, par_m, par_typed, par_exhausted) = run(name, budget, jobs);
     assert_eq!(seq_typed, par_typed, "{name}: typed pairs diverged");
     assert_eq!(
         seq_exhausted, par_exhausted,
@@ -83,7 +128,7 @@ fn assert_totals_match(name: &str, budget: Budget) {
     ] {
         assert_eq!(
             a, b,
-            "{name}: stats.{field} diverged between jobs=1 and jobs=4"
+            "{name}: stats.{field} diverged between jobs=1 and jobs={jobs}"
         );
     }
     for (field, a, b) in [
@@ -112,14 +157,14 @@ fn assert_totals_match(name: &str, budget: Budget) {
     ] {
         assert_eq!(
             a, b,
-            "{name}: metrics.{field} diverged between jobs=1 and jobs=4"
+            "{name}: metrics.{field} diverged between jobs=1 and jobs={jobs}"
         );
     }
     // Per-shape attribution must agree too — it is merged through the same
     // delta discipline.
     assert_eq!(
         seq_m.per_shape, par_m.per_shape,
-        "{name}: per-shape metrics diverged"
+        "{name}: per-shape metrics diverged at jobs={jobs}"
     );
     // The merged metrics obey the cache invariant on both sides.
     for m in [&seq_m, &par_m] {
@@ -271,16 +316,13 @@ fn hub_wave_accounting_is_consistent() {
     let w = shapex_workloads::scale::hub(300, 3);
     let schema = shexc::parse(&w.schema).expect("hub schema parses");
     let mut ds = w.dataset;
-    let config = EngineConfig {
-        metrics: true,
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
+    let mut engine =
+        Engine::compile(&schema, &mut ds.pool, EngineConfig::default()).expect("compiles");
     // jobs=2 keeps the epoch window (2 × 256) below the 602-query run, so
     // a second epoch exists to observe the first epoch's merged verdicts.
     let typing = engine.type_all_par(&ds.graph, &ds.pool, 2);
     assert!(!typing.is_partial());
-    let metrics = engine.metrics().expect("metrics enabled");
+    let metrics = engine.metrics().expect("always collected");
     assert!(metrics.waves.len() >= 2, "expected multiple epochs");
     let mut merged_total = 0;
     for (i, wave) in metrics.waves.iter().enumerate() {
@@ -346,10 +388,6 @@ fn assert_promotion_complete(name: &str, schema: &str, mut ds: Dataset, budget: 
     let settled = seq.settled();
     assert!(!settled.verdicts.is_empty(), "{name}: nothing settled");
     for jobs in [2usize, 3, 4] {
-        let config = EngineConfig {
-            metrics: true,
-            ..config
-        };
         let mut par = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
         let typing = par.type_all_par(&ds.graph, &ds.pool, jobs);
         assert_eq!(typing, reference, "{name}: typing diverged at jobs={jobs}");
@@ -366,7 +404,7 @@ fn assert_promotion_complete(name: &str, schema: &str, mut ds: Dataset, budget: 
             got.value_sat, settled.value_sat,
             "{name}: value_sat diverged at jobs={jobs}"
         );
-        let metrics = par.metrics().expect("metrics enabled");
+        let metrics = par.metrics().expect("always collected");
         assert!(
             !metrics.waves.is_empty(),
             "{name}: jobs={jobs} ran sequentially"
@@ -465,4 +503,48 @@ fn promotion_complete_when_a_query_exhausts_after_nested_proofs() {
         proven_members > 0 && proven_members < members.len(),
         "expected a partial set of members proven, got {proven_members}"
     );
+}
+
+#[test]
+fn mirrored_counters_agree_after_revalidation_and_transplant() {
+    // Graph delta: `revalidate_par` counts invalidated/retyped/reused pairs.
+    let schema = shexc::parse(&fixture("person/schema.shex")).expect("schema parses");
+    for jobs in [1, 2] {
+        let mut ds = turtle::parse(&fixture("person/data.ttl")).expect("data parses");
+        let config = EngineConfig {
+            incremental: true,
+            ..EngineConfig::default()
+        };
+        let mut engine = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
+        engine.type_all_par(&ds.graph, &ds.pool, jobs);
+        let d = shapex_rdf::delta::parse(&fixture("person/delta.diff"), &mut ds.pool)
+            .expect("delta parses");
+        ds.try_apply_delta(&d).expect("delta applies");
+        engine
+            .revalidate_par(&ds.graph, &ds.pool, &d, jobs)
+            .expect("revalidates");
+        assert!(engine.stats().reused_pairs > 0, "nothing was reused");
+        assert_mirrors(&format!("revalidate_par at jobs={jobs}"), &engine);
+    }
+
+    // Schema delta: transplanted verdicts count as reused pairs.
+    let v2 = shexc::parse(&fixture("person/schema_v2.shex")).expect("schema parses");
+    let mut ds = turtle::parse(&fixture("person/data.ttl")).expect("data parses");
+    let config = EngineConfig::default();
+    let mut old = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
+    old.type_all_par(&ds.graph, &ds.pool, 1);
+    let diff = shapex::schema_diff(
+        &schema,
+        &v2,
+        config.simplify,
+        config.closure,
+        &config.budget,
+    )
+    .expect("diff");
+    let mut engine = Engine::compile(&v2, &mut ds.pool, config).expect("compiles");
+    let moved = engine.transplant_verdicts(&old, &diff.reusable);
+    assert!(moved > 0, "nothing was transplanted");
+    engine.type_all_par(&ds.graph, &ds.pool, 1);
+    assert_eq!(engine.stats().reused_pairs, moved as u64);
+    assert_mirrors("transplant_verdicts", &engine);
 }
