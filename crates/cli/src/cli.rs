@@ -888,7 +888,7 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                         doc.push_exhausted(node_iri, shape, &exhaustion);
                         doc.set("stats", report::bt_stats_json(&validator.stats()));
                         CliError::Exhausted {
-                            output: report::render(&doc.finish(None)),
+                            output: doc.render(None),
                             exhaustion,
                         }
                     }
@@ -911,7 +911,7 @@ fn validate(flags: &Flags) -> Result<String, CliError> {
                 if skipped > 0 {
                     doc.set("lenient_skipped", Value::from(skipped));
                 }
-                let output = report::render(&doc.finish(Some(ok)));
+                let output = doc.render(Some(ok));
                 return if ok {
                     Ok(output)
                 } else {
@@ -1065,7 +1065,7 @@ fn check(flags: &Flags) -> Result<String, CliError> {
                 Verdict::NotContained => Some(false),
                 Verdict::Undetermined | Verdict::Exhausted(_) => None,
             };
-            out = report::render(&doc.finish(conforms));
+            out = doc.render(conforms);
         }
         return match verdict {
             Verdict::Contained => Ok(out),
@@ -1122,7 +1122,7 @@ fn check(flags: &Flags) -> Result<String, CliError> {
         } else {
             Some(true)
         };
-        out = report::render(&doc.finish(conforms));
+        out = doc.render(conforms);
     }
     if unsat > 0 {
         return Err(CliError::NonConforming { output: out });
@@ -1197,7 +1197,7 @@ fn check_schema_delta(
         if report {
             let mut doc = ReportDoc::new("schema-delta", "calculus");
             doc.set("schema_delta", diff_json);
-            out = report::render(&doc.finish(diff.exhausted.is_none().then_some(true)));
+            out = doc.render(diff.exhausted.is_none().then_some(true));
         }
         if let Some(exhaustion) = diff.exhausted {
             return Err(CliError::Exhausted {

@@ -2,6 +2,7 @@
 //! predicates, arc tables, and hash-consed expressions.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use shapex_rdf::pool::{TermId, TermPool};
 use shapex_shex::ast::{ObjectConstraint, PredicateSet, ShapeExpr, ShapeLabel};
@@ -66,7 +67,8 @@ pub struct CompiledArc {
     /// Bit position within the owning shape's satisfaction profiles.
     pub bit: u32,
     /// Human-readable form for diagnostics, e.g. `foaf:age xsd:integer`.
-    pub display: String,
+    /// Shared by every SORBE failure that names the arc.
+    pub display: Arc<str>,
 }
 
 /// A SORBE conjunct resolved to a compiled arc (see [`crate::sorbe`]).
@@ -299,7 +301,7 @@ impl CompiledSchema {
     /// Renders an expression state for diagnostics.
     pub fn render_expr(&self, e: ExprId) -> String {
         self.pool
-            .render(e, &|arc| self.arcs[arc.index()].display.clone())
+            .render(e, &|arc| self.arcs[arc.index()].display.to_string())
     }
 
     fn compile_expr(
@@ -351,7 +353,7 @@ impl CompiledSchema {
                             .expect("checked by check_references"),
                     ),
                 };
-                let display = arc_display(arc);
+                let display = arc_display(arc).into();
                 let bit = ctx.arcs.len() as u32;
                 ctx.arcs.push(id);
                 self.arcs.push(CompiledArc {
@@ -609,7 +611,7 @@ mod tests {
         let (c, _) = compile(
             "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\nPREFIX xsd: <http://www.w3.org/2001/XMLSchema#>\n<S> { foaf:age xsd:integer }",
         );
-        assert_eq!(c.arc(ArcId(0)).display, "age→integer");
+        assert_eq!(&*c.arc(ArcId(0)).display, "age→integer");
     }
 
     #[test]

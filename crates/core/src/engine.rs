@@ -18,7 +18,7 @@
 //!   matching is monotone in the assumption set).
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -385,6 +385,11 @@ pub struct Engine {
     /// changes until [`Engine::reset`].
     profile_ids: FxHashMap<(ShapeId, Box<[u64]>), ProfileId>,
     profile_bits: Vec<Box<[u64]>>,
+    /// Triple classes parallel workers interned that this engine's own
+    /// `profile_ids` lacks: with them, `metrics.triple_classes` counts the
+    /// union of every engine's classes, not a per-worker sum. Cleared by
+    /// [`Engine::reset`] together with the profile tables.
+    foreign_classes: FxHashSet<(ShapeId, Box<[u64]>)>,
     /// Per-shape lazy DFAs (the derivative cache; see [`crate::dfa`]).
     /// `∂` is a pure function of `(expression, profile bits)`, so the
     /// tables persist across runs — but **must** be cleared together with
@@ -405,7 +410,14 @@ pub struct Engine {
     /// make every query O(|memo|)).
     conditional: HashSet<Pair>,
     in_progress: HashSet<Pair>,
-    failures: HashMap<Pair, Failure>,
+    failures: FxHashMap<Pair, Failure>,
+    /// Rendered expression states, one per distinct `ExprId` that some
+    /// failure stopped at: a failure's `expectation` is a clone of the
+    /// shared string, never a fresh rendering. Per engine, because ids
+    /// past the fork-time pool prefix are private to a worker's arena; a
+    /// worker's cache starts empty and only the `Arc`s travel with the
+    /// verdicts it publishes.
+    expectations: FxHashMap<ExprId, Arc<str>>,
     /// Per-query budget meter, reset by each top-level `gfp_run`/trace so
     /// every node in a batch gets the full budget (per-node fault
     /// isolation) while reruns of the same query share one allowance.
@@ -499,13 +511,15 @@ impl Engine {
             profile_by_triple: FxHashMap::default(),
             profile_ids: FxHashMap::default(),
             profile_bits: Vec::new(),
+            foreign_classes: FxHashSet::default(),
             dfas,
             profile_shape: Vec::new(),
             class_local: Vec::new(),
             dfa_filled: 0,
             conditional: HashSet::new(),
             in_progress: HashSet::new(),
-            failures: HashMap::new(),
+            failures: FxHashMap::default(),
+            expectations: FxHashMap::default(),
             meter: BudgetMeter::default(),
             governor: None,
             metrics,
@@ -639,6 +653,7 @@ impl Engine {
         self.profile_stable.clear();
         self.profile_ids.clear();
         self.profile_bits.clear();
+        self.foreign_classes.clear();
         for dfa in &mut self.dfas {
             *dfa = ShapeDfa::new();
         }
@@ -751,6 +766,18 @@ impl Engine {
             Some(MemoState::Failed) => {
                 Some(Outcome::Fails(self.failures.get(&(shape, node)).cloned()))
             }
+            _ => None,
+        }
+    }
+
+    /// The memoised failed verdict for a pair, borrowed: `Some(diagnostic)`
+    /// when the memo holds an unconditional failure (the diagnostic may be
+    /// absent), `None` for any other memo state. The report writer reads
+    /// failures through this instead of cloning them out of
+    /// [`Engine::check_id`].
+    pub fn failed_verdict(&self, node: TermId, shape: ShapeId) -> Option<Option<&Failure>> {
+        match self.memo.get(&(shape, node)) {
+            Some(MemoState::Failed) => Some(self.failures.get(&(shape, node))),
             _ => None,
         }
     }
@@ -1035,6 +1062,7 @@ impl Engine {
         // the last boundary advanced to; workers left idle by a short
         // epoch contribute an empty delta.
         let mut snapshots = vec![Metrics::new(self.schema.shapes.len()); jobs];
+        let mut class_marks = vec![0usize; jobs];
         // Workers run on a shared executor when one is installed (the
         // server's request pool), else on a transient pool for this call
         // — either way threads are reused across every epoch of the run.
@@ -1227,6 +1255,7 @@ impl Engine {
                     derivative_steps: now.derivative_steps - prev.derivative_steps,
                 });
                 self.metrics.absorb_delta(prev, now);
+                self.absorb_worker_classes(&workers[w], &mut class_marks[w]);
                 self.metrics.pool_high_water = self
                     .metrics
                     .pool_high_water
@@ -1768,6 +1797,7 @@ impl Engine {
             profile_by_triple: FxHashMap::default(),
             profile_ids: FxHashMap::default(),
             profile_bits: Vec::new(),
+            foreign_classes: FxHashSet::default(),
             profile_shape: Vec::new(),
             class_local: Vec::new(),
             dfas: self.dfas.iter().map(ShapeDfa::fork).collect(),
@@ -1775,6 +1805,7 @@ impl Engine {
             conditional: HashSet::new(),
             in_progress: HashSet::new(),
             failures: self.failures.clone(),
+            expectations: FxHashMap::default(),
             meter: BudgetMeter::default(),
             governor: Some(Arc::clone(governor)),
             metrics: Metrics::new(self.schema.shapes.len()),
@@ -2051,6 +2082,7 @@ impl Engine {
             let before = e;
             e = self.deriv(e, pid)?;
             if e == EMPTY {
+                let expectation = self.expectation(before);
                 self.failures.insert(
                     (shape, node),
                     Failure {
@@ -2059,7 +2091,7 @@ impl Engine {
                             predicate: p,
                             object: to,
                         },
-                        expectation: self.schema.render_expr(before),
+                        expectation,
                     },
                 );
                 return Ok(false);
@@ -2068,15 +2100,27 @@ impl Engine {
         if self.nullable_of(shape, e) {
             Ok(true)
         } else {
+            let expectation = self.expectation(e);
             self.failures.insert(
                 (shape, node),
                 Failure {
                     kind: FailureKind::MissingRequired,
-                    expectation: self.schema.render_expr(e),
+                    expectation,
                 },
             );
             Ok(false)
         }
+    }
+
+    /// The rendered expression state `e` for a failure's `expectation`,
+    /// rendered on first use and shared from then on.
+    fn expectation(&mut self, e: ExprId) -> Arc<str> {
+        let schema = &self.schema;
+        Arc::clone(
+            self.expectations
+                .entry(e)
+                .or_insert_with(|| schema.render_expr(e).into()),
+        )
     }
 
     /// Gathers the triples a shape must account for at `node`:
@@ -2228,6 +2272,7 @@ impl Engine {
             });
             let Some(i) = owner else {
                 // Closed semantics: a triple no conjunct accounts for.
+                let expectation = self.expectation(self.schema.shape(shape).expr);
                 self.failures.insert(
                     (shape, node),
                     Failure {
@@ -2236,7 +2281,7 @@ impl Engine {
                             predicate: p,
                             object: to,
                         },
-                        expectation: self.schema.render_expr(self.schema.shape(shape).expr),
+                        expectation,
                     },
                 );
                 return Ok(false);
@@ -2251,7 +2296,7 @@ impl Engine {
                             predicate: p,
                             object: to,
                         },
-                        expectation: self.schema.arc(arc_id).display.clone(),
+                        expectation: Arc::clone(&self.schema.arc(arc_id).display),
                     },
                 );
                 return Ok(false);
@@ -2264,12 +2309,12 @@ impl Engine {
                     (shape, node),
                     Failure {
                         kind: FailureKind::Cardinality {
-                            arc: self.schema.arc(s.arc).display.clone(),
+                            arc: Arc::clone(&self.schema.arc(s.arc).display),
                             found: count,
                             min: s.min,
                             max: (s.max != UNBOUNDED).then_some(s.max),
                         },
-                        expectation: self.schema.arc(s.arc).display.clone(),
+                        expectation: Arc::clone(&self.schema.arc(s.arc).display),
                     },
                 );
                 return Ok(false);
@@ -2344,19 +2389,18 @@ impl Engine {
             return Ok(pid);
         }
         // The assumption-carrying table is consulted only on a stable
-        // miss, so its lookups count the stable fall-through exactly.
+        // miss, so the stable misses are its lookups.
         self.metrics.profile_stable.misses += 1;
-        self.metrics.profile_assumption.lookups += 1;
         if let Some((pid, cached_deps)) = self.profile_by_triple.get(&key) {
             let pid = *pid;
             deps.extend(cached_deps.iter().copied());
-            self.metrics.profile_assumption.hits += 1;
+            self.metrics.profile_assumption_hits += 1;
             if record_refs {
                 self.record_profile_ref_edges(shape, pred, other, inverse);
             }
             return Ok(pid);
         }
-        self.metrics.profile_assumption.misses += 1;
+        self.metrics.profile_assumption_misses += 1;
         self.meter.step()?;
         // Only arcs whose head covers `(pred, inverse)` can set a bit —
         // the compile-time head index hands us exactly those instead of a
@@ -2401,17 +2445,16 @@ impl Engine {
         }
         let bits: Box<[u64]> = bits.into();
         let next = ProfileId(self.profile_bits.len() as u32);
-        let metrics = &mut self.metrics;
         let profile_bits = &mut self.profile_bits;
         let pid = *self
             .profile_ids
             .entry((shape, bits.clone()))
             .or_insert_with(|| {
                 profile_bits.push(bits);
-                metrics.triple_classes += 1;
                 next
             });
         if pid == next {
+            self.count_class(shape, pid);
             // Freshly interned: record the pid's shape and its dense
             // class id for the DFA layer (ids below `next` already have
             // their slots).
@@ -2441,6 +2484,32 @@ impl Engine {
             self.profile_by_triple.insert(key, (pid, used.into()));
         }
         Ok(pid)
+    }
+
+    /// Counts the class `pid` this engine just interned, unless a parallel
+    /// worker's copy of it was counted already.
+    fn count_class(&mut self, shape: ShapeId, pid: ProfileId) {
+        let counted = !self.foreign_classes.is_empty()
+            && self
+                .foreign_classes
+                .remove(&(shape, self.profile_bits[pid.0 as usize].clone()));
+        if !counted {
+            self.metrics.triple_classes += 1;
+        }
+    }
+
+    /// Counts the classes `worker` interned since `mark` that no engine
+    /// counted yet, and advances `mark`: `metrics.triple_classes` is then
+    /// the number of distinct `(shape, class bits)` over this engine and
+    /// its workers, as a sequential run would intern them.
+    fn absorb_worker_classes(&mut self, worker: &Engine, mark: &mut usize) {
+        for pid in *mark..worker.profile_bits.len() {
+            let key = (worker.profile_shape[pid], worker.profile_bits[pid].clone());
+            if !self.profile_ids.contains_key(&key) && self.foreign_classes.insert(key) {
+                self.metrics.triple_classes += 1;
+            }
+        }
+        *mark = worker.profile_bits.len();
     }
 
     /// Records the reverse reference edges a profile lookup implies: the

@@ -199,9 +199,15 @@ pub struct Metrics {
     /// Stable (assumption-free) profile-cache behaviour. A hit here means
     /// the triple's satisfaction profile was a persistent fact.
     pub profile_stable: CacheMetrics,
-    /// Assumption-carrying profile-cache behaviour (per-run entries whose
-    /// bits were computed under open coinductive assumptions).
-    pub profile_assumption: CacheMetrics,
+    /// Hits of the assumption-carrying profile cache (per-run entries
+    /// whose bits were computed under open coinductive assumptions). That
+    /// cache is consulted only on a stable miss, so its lookups are
+    /// `profile_stable.misses` and are not stored again; read the whole
+    /// record through [`Metrics::profile_assumption`].
+    pub profile_assumption_hits: u64,
+    /// Misses of the assumption-carrying profile cache: profiles computed
+    /// fresh.
+    pub profile_assumption_misses: u64,
     /// Dense DFA transition-table behaviour (the derivative cache; see
     /// [`crate::dfa`]). A miss is exactly one lazy table fill. Not
     /// consulted when `EngineConfig::no_deriv_memo` is set.
@@ -255,12 +261,22 @@ impl Metrics {
     /// assumption-carrying table only on a stable miss, so stable lookups
     /// count every profiling and assumption lookups only the fall-through.
     pub fn profile_lookups(&self) -> u64 {
-        self.profile_stable.lookups + self.profile_assumption.lookups
+        self.profile_stable.lookups + self.profile_stable.misses
     }
 
     /// Profiles computed fresh (misses of both cache layers).
     pub fn profiles_computed(&self) -> u64 {
-        self.profile_assumption.misses
+        self.profile_assumption_misses
+    }
+
+    /// The assumption-carrying profile cache's counters, its lookups
+    /// derived from the stable cache's misses.
+    pub fn profile_assumption(&self) -> CacheMetrics {
+        CacheMetrics {
+            lookups: self.profile_stable.misses,
+            hits: self.profile_assumption_hits,
+            misses: self.profile_assumption_misses,
+        }
     }
 
     /// Checks answered by the SORBE counting fast path, summed over
@@ -274,19 +290,21 @@ impl Metrics {
     /// Monotone counters add the difference; high-water marks take the
     /// max of the *absolute* value (a high-water mark is not a rate).
     /// Calling this once per epoch with an advancing `prev` counts every
-    /// increment exactly once. `triple_classes` becomes an over-count
-    /// across workers, since each worker interns its own class table.
+    /// increment exactly once. `triple_classes` is not folded: each
+    /// worker interns its own class table, so a sum would count a class
+    /// once per worker; the coordinator counts the union of the workers'
+    /// classes instead.
     pub fn absorb_delta(&mut self, prev: &Metrics, now: &Metrics) {
         self.derivative_steps += now.derivative_steps - prev.derivative_steps;
-        self.triple_classes += now.triple_classes - prev.triple_classes;
         self.node_checks += now.node_checks - prev.node_checks;
         self.gfp_reruns += now.gfp_reruns - prev.gfp_reruns;
         self.exhausted_checks += now.exhausted_checks - prev.exhausted_checks;
         self.max_depth_reached = self.max_depth_reached.max(now.max_depth_reached);
         self.profile_stable
             .absorb_delta(&prev.profile_stable, &now.profile_stable);
-        self.profile_assumption
-            .absorb_delta(&prev.profile_assumption, &now.profile_assumption);
+        self.profile_assumption_hits += now.profile_assumption_hits - prev.profile_assumption_hits;
+        self.profile_assumption_misses +=
+            now.profile_assumption_misses - prev.profile_assumption_misses;
         self.dfa_table.absorb_delta(&prev.dfa_table, &now.dfa_table);
         self.dfa_states += now.dfa_states - prev.dfa_states;
         if self.per_shape_dfa.len() < now.per_shape_dfa.len() {
@@ -381,7 +399,7 @@ impl Metrics {
             .collect();
         serde_json::json!({
             "profile_stable": self.profile_stable.to_json(),
-            "profile_assumption": self.profile_assumption.to_json(),
+            "profile_assumption": self.profile_assumption().to_json(),
             "dfa_table": self.dfa_table.to_json(),
             "dfa_states": self.dfa_states,
             "head_index": {

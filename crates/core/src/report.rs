@@ -11,7 +11,12 @@
 //!
 //! Stats, metrics, and exhaustion blocks come from the engine types' own
 //! `to_json` methods; this module assembles the document around them.
+//! Verdict rows — the bulk of a large report — skip `Value` altogether:
+//! [`ReportDoc`] writes them straight to bytes.
 
+use std::fmt::{self, Write as _};
+
+use rustc_hash::FxHashMap;
 use serde_json::{json, Map, Value};
 
 use shapex_rdf::graph::{Dataset, Graph};
@@ -22,7 +27,7 @@ use shapex_shex::shapemap::ShapeMap;
 use crate::budget::Exhaustion;
 use crate::compile::ShapeId;
 use crate::engine::{Engine, EngineError, MapOutcome, Trace};
-use crate::result::Typing;
+use crate::result::{Failure, Typing};
 
 /// How a run ended — the one source of the exit code the CLI returns and
 /// the server sends in its `X-Shapex-Exit` header.
@@ -158,25 +163,54 @@ pub fn trace_json(t: &Trace, pool: &TermPool) -> Value {
     })
 }
 
-/// The top-level document skeleton shared by every `validate` mode.
+/// A report document under construction: the skeleton keys as `Value`s,
+/// the `results` and `exhausted` arrays as bytes.
+///
+/// Rows are written straight into the two arrays, in exactly the bytes the
+/// vendored `serde_json` pretty printer would give the same rows inside the
+/// sealed document: keys sorted, two-space indent, its string escaping.
+/// Only the small skeleton — the counter blocks, the `delta` block and the
+/// other top-level keys — goes through `Value`; [`ReportDoc::render`]
+/// splices the arrays in at their indent. The layout contract is
+/// documented in `DESIGN.md` (§ Observability, report writer).
 pub struct ReportDoc {
     root: Map<String, Value>,
-    results: Vec<Value>,
-    exhausted: Vec<Value>,
+    /// Sealed sub-documents, by key (the halves of a delta report).
+    docs: Vec<(String, ReportDoc)>,
+    /// The `results` array's items, each preceded by its separator, line
+    /// break and indent.
+    results: String,
+    /// The `exhausted` array's items, in the same form.
+    exhausted: String,
+    /// The column the document's own braces sit at: 0 for a top-level
+    /// document, 2 for a sub-document of one.
+    indent: usize,
 }
 
 impl ReportDoc {
     /// A fresh skeleton for the given mode/engine pair.
     pub fn new(mode: &str, engine: &str) -> Self {
+        Self::at(mode, engine, 0)
+    }
+
+    fn at(mode: &str, engine: &str, indent: usize) -> Self {
         let mut root = Map::new();
         root.insert("tool".to_string(), Value::from("shapex"));
         root.insert("mode".to_string(), Value::from(mode));
         root.insert("engine".to_string(), Value::from(engine));
         ReportDoc {
             root,
-            results: Vec::new(),
-            exhausted: Vec::new(),
+            docs: Vec::new(),
+            results: String::new(),
+            exhausted: String::new(),
+            indent,
         }
+    }
+
+    /// A fresh skeleton for a sub-document that [`ReportDoc::set_doc`]
+    /// will nest under a key of this one.
+    pub fn child(&self, mode: &str, engine: &str) -> Self {
+        Self::at(mode, engine, self.indent + 2)
     }
 
     /// Sets a top-level key.
@@ -184,41 +218,266 @@ impl ReportDoc {
         self.root.insert(key.to_string(), value);
     }
 
+    /// Seals `doc` (made by [`ReportDoc::child`]) with its overall verdict
+    /// and nests it under `key`.
+    pub fn set_doc(&mut self, key: &str, mut doc: ReportDoc, conforms: Option<bool>) {
+        debug_assert_eq!(doc.indent, self.indent + 2, "sub-document made by child()");
+        doc.seal(conforms);
+        self.root.insert(key.to_string(), Value::Null);
+        self.docs.retain(|(k, _)| k != key);
+        self.docs.push((key.to_string(), doc));
+    }
+
     /// Appends one verdict row (see [`result_json`]).
     pub fn push_result(&mut self, row: Value) {
-        self.results.push(row);
+        let indent = self.indent + 4;
+        open_item(&mut self.results, indent);
+        write_value(&mut self.results, &row, indent);
     }
 
     /// Appends one row to the document-level `exhausted` array.
     pub fn push_exhausted(&mut self, node: &str, shape: &str, e: &Exhaustion) {
-        let mut m = Map::new();
-        m.insert("node".to_string(), Value::from(node));
-        m.insert("shape".to_string(), Value::from(shape));
-        m.insert("exhaustion".to_string(), exhaustion_json(e));
-        self.exhausted.push(Value::Object(m));
+        self.exhausted_row(&json_string(node), &json_string(shape), e);
     }
 
-    /// Seals the document. `conforms` is the run's overall verdict; it is
-    /// `null` when any check exhausted (the honest answer is "unknown").
-    pub fn finish(mut self, conforms: Option<bool>) -> Value {
+    /// One `exhausted` item; `node` and `shape` are JSON strings, quoted.
+    fn exhausted_row(&mut self, node: &str, shape: &str, e: &Exhaustion) {
+        let indent = self.indent + 4;
+        let out = &mut self.exhausted;
+        open_item(out, indent);
+        out.push('{');
+        open_key(out, indent + 2, "exhaustion");
+        write_value(out, &exhaustion_json(e), indent + 2);
+        out.push(',');
+        open_key(out, indent + 2, "node");
+        out.push_str(node);
+        out.push(',');
+        open_key(out, indent + 2, "shape");
+        out.push_str(shape);
+        close(out, indent, '}');
+    }
+
+    /// One `results` item in [`result_json`]'s layout; `node` and `shape`
+    /// are JSON strings, quoted. The failure is written with its terms
+    /// resolved against `pool` and escaped on the way in.
+    fn result_row(
+        &mut self,
+        node: &str,
+        shape: &str,
+        verdict: &str,
+        failure: Option<(&Failure, &TermPool)>,
+        exhaustion: Option<&Exhaustion>,
+    ) {
+        let indent = self.indent + 4;
+        let out = &mut self.results;
+        open_item(out, indent);
+        out.push('{');
+        if let Some(e) = exhaustion {
+            open_key(out, indent + 2, "exhaustion");
+            write_value(out, &exhaustion_json(e), indent + 2);
+            out.push(',');
+        }
+        if let Some((f, pool)) = failure {
+            open_key(out, indent + 2, "failure");
+            out.push('"');
+            // Writing into a `String` cannot fail.
+            let _ = write!(JsonEscaped(out), "{}", f.display(pool));
+            out.push_str("\",");
+        }
+        open_key(out, indent + 2, "node");
+        out.push_str(node);
+        out.push(',');
+        open_key(out, indent + 2, "shape");
+        out.push_str(shape);
+        out.push(',');
+        open_key(out, indent + 2, "verdict");
+        out.push('"');
+        out.push_str(verdict);
+        out.push('"');
+        close(out, indent, '}');
+    }
+
+    /// Adds the keys every document gets when sealed: the overall verdict
+    /// (`null` when any check exhausted — the honest answer is
+    /// "unknown") and the two arrays, whose values [`ReportDoc::render`]
+    /// and [`ReportDoc::finish`] take from the row buffers.
+    fn seal(&mut self, conforms: Option<bool>) {
         self.root.insert(
             "conforms".to_string(),
             conforms.map_or(Value::Null, Value::from),
         );
-        self.root
-            .insert("results".to_string(), Value::Array(self.results));
-        self.root
-            .insert("exhausted".to_string(), Value::Array(self.exhausted));
-        Value::Object(self.root)
+        self.root.insert("results".to_string(), Value::Null);
+        self.root.insert("exhausted".to_string(), Value::Null);
+    }
+
+    /// Seals the document and serializes it: pretty-printed, trailing
+    /// newline — byte for byte what [`render`] gives for
+    /// [`ReportDoc::finish`]'s value.
+    pub fn render(mut self, conforms: Option<bool>) -> String {
+        self.seal(conforms);
+        let mut out = String::with_capacity(self.results.len() + self.exhausted.len() + 4096);
+        self.write_sealed(&mut out);
+        out.push('\n');
+        out
+    }
+
+    /// Writes a sealed document as a pretty-printed object whose braces sit
+    /// at `self.indent`.
+    fn write_sealed(&self, out: &mut String) {
+        let indent = self.indent;
+        out.push('{');
+        for (i, (key, value)) in self.root.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            open_key(out, indent + 2, key);
+            match key.as_str() {
+                "results" => write_items(out, &self.results, indent + 2),
+                "exhausted" => write_items(out, &self.exhausted, indent + 2),
+                _ => match self.docs.iter().find(|(k, _)| k == key) {
+                    Some((_, doc)) => doc.write_sealed(out),
+                    None => write_value(out, value, indent + 2),
+                },
+            }
+        }
+        close(out, indent, '}');
+    }
+
+    /// Seals the document as a `Value`, for callers that nest documents by
+    /// hand; [`ReportDoc::render`] is the serializing path.
+    pub fn finish(mut self, conforms: Option<bool>) -> Value {
+        self.seal(conforms);
+        self.into_value()
+    }
+
+    fn into_value(self) -> Value {
+        let mut root = self.root;
+        let items = |rows: &str| {
+            serde_json::from_str(&format!("[{rows}]")).expect("rows are written as JSON")
+        };
+        root.insert("results".to_string(), items(&self.results));
+        root.insert("exhausted".to_string(), items(&self.exhausted));
+        for (key, doc) in self.docs {
+            root.insert(key, doc.into_value());
+        }
+        Value::Object(root)
+    }
+}
+
+/// A `fmt::Write` that appends to a `String` in the escaping of the
+/// vendored `serde_json`: `\"`, `\\`, `\n`, `\r`, `\t`, `\b`, `\f`, other
+/// controls as lowercase `\u00xx`, everything else (non-ASCII included)
+/// as is.
+struct JsonEscaped<'a>(&'a mut String);
+
+impl fmt::Write for JsonEscaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let out = &mut *self.0;
+        let mut start = 0;
+        for (i, &b) in s.as_bytes().iter().enumerate() {
+            let escape = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0x08 => "\\b",
+                0x0C => "\\f",
+                0x00..=0x1F => "",
+                _ => continue,
+            };
+            // Every escaped byte is ASCII, so `i` is a char boundary.
+            out.push_str(&s[start..i]);
+            if escape.is_empty() {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xF)] as char);
+            } else {
+                out.push_str(escape);
+            }
+            start = i + 1;
+        }
+        out.push_str(&s[start..]);
+        Ok(())
+    }
+}
+
+/// `s` as a quoted JSON string.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    let _ = JsonEscaped(&mut out).write_str(s);
+    out.push('"');
+    out
+}
+
+fn push_indent(out: &mut String, indent: usize) {
+    out.extend(std::iter::repeat_n(' ', indent));
+}
+
+/// Starts an array item at `indent`: separator, line break, indent.
+fn open_item(items: &mut String, indent: usize) {
+    if !items.is_empty() {
+        items.push(',');
+    }
+    items.push('\n');
+    push_indent(items, indent);
+}
+
+/// Starts an object member at `indent`, up to and including `": "`.
+fn open_key(out: &mut String, indent: usize, key: &str) {
+    out.push('\n');
+    push_indent(out, indent);
+    out.push('"');
+    let _ = JsonEscaped(out).write_str(key);
+    out.push_str("\": ");
+}
+
+/// Closes a non-empty object or array whose bracket sits at `indent`.
+fn close(out: &mut String, indent: usize, bracket: char) {
+    out.push('\n');
+    push_indent(out, indent);
+    out.push(bracket);
+}
+
+/// Writes the array of `items` (see [`open_item`]) whose brackets sit at
+/// `indent`.
+fn write_items(out: &mut String, items: &str, indent: usize) {
+    if items.is_empty() {
+        out.push_str("[]");
+    } else {
+        out.push('[');
+        out.push_str(items);
+        close(out, indent, ']');
+    }
+}
+
+/// Writes `v` pretty-printed as if it were nested at `indent`. The pretty
+/// printer breaks lines only between members and items — never inside a
+/// string, whose line breaks it escapes — so indenting every line of the
+/// top-level rendering is exact.
+fn write_value(out: &mut String, v: &Value, indent: usize) {
+    let text = serde_json::to_string_pretty(v).expect("report values contain no NaN");
+    let mut lines = text.split('\n');
+    out.push_str(lines.next().unwrap_or_default());
+    for line in lines {
+        out.push('\n');
+        push_indent(out, indent);
+        out.push_str(line);
     }
 }
 
 /// Fills a report document with the per-`(node, shape)` rows of a full
 /// typing: `conforms` rows straight from the typing, `exhausted` rows (plus
 /// the document's exhaustion block) for unanswered pairs, and `fails` rows
-/// with a recomputed failure trace for everything else. Shared by the plain
-/// full-typing report, both halves of the `--delta` before/after report,
-/// and the server's `/validate` endpoint.
+/// carrying the failure diagnostic the typing run memoised — recomputed
+/// by [`Engine::check_id`] only for a pair the memo has no verdict for.
+/// Shared by the plain full-typing report, both halves of the `--delta`
+/// before/after report, and the server's `/validate` endpoint.
+///
+/// Each node's name is formatted and escaped once, each shape label once
+/// per call, and each failure is written from the memo entry it borrows.
 pub fn push_typing_rows(
     doc: &mut ReportDoc,
     engine: &mut Engine,
@@ -226,33 +485,34 @@ pub fn push_typing_rows(
     pool: &TermPool,
     typing: &Typing,
 ) {
-    let exhausted: std::collections::HashMap<_, _> = typing
+    let exhausted: FxHashMap<_, _> = typing
         .exhausted
         .iter()
         .map(|&(n, s, e)| ((n, s), e))
         .collect();
-    for node in graph.subjects().collect::<Vec<_>>() {
-        for i in 0..engine.schema().shapes.len() {
+    let shapes: Vec<String> = (0..engine.schema().shapes.len())
+        .map(|i| json_string(engine.label_of(ShapeId(i as u32)).as_str()))
+        .collect();
+    let mut node_name = String::new();
+    for node in graph.subjects() {
+        node_name.clear();
+        node_name.push('"');
+        let _ = write!(JsonEscaped(&mut node_name), "{}", pool.term(node));
+        node_name.push('"');
+        for (i, shape_name) in shapes.iter().enumerate() {
             let shape = ShapeId(i as u32);
-            let node_name = pool.term(node).to_string();
-            let shape_name = engine.label_of(shape).as_str().to_string();
             if typing.has(node, shape) {
-                doc.push_result(result_json(&node_name, &shape_name, "conforms", None, None));
+                doc.result_row(&node_name, shape_name, "conforms", None, None);
             } else if let Some(e) = exhausted.get(&(node, shape)) {
-                doc.push_result(result_json(
-                    &node_name,
-                    &shape_name,
-                    "exhausted",
-                    None,
-                    Some(e),
-                ));
-                doc.push_exhausted(&node_name, &shape_name, e);
+                doc.result_row(&node_name, shape_name, "exhausted", None, Some(e));
+                doc.exhausted_row(&node_name, shape_name, e);
+            } else if let Some(failure) = engine.failed_verdict(node, shape) {
+                let failure = failure.map(|f| (f, pool));
+                doc.result_row(&node_name, shape_name, "fails", failure, None);
             } else {
-                let failure = engine
-                    .check_id(graph, pool, node, shape)
-                    .into_failure()
-                    .map(|f| f.render(pool));
-                doc.push_result(result_json(&node_name, &shape_name, "fails", failure, None));
+                let failure = engine.check_id(graph, pool, node, shape).into_failure();
+                let failure = failure.as_ref().map(|f| (f, pool));
+                doc.result_row(&node_name, shape_name, "fails", failure, None);
             }
         }
     }
@@ -272,7 +532,7 @@ pub fn finish_engine_doc(
     for (key, block) in counter_blocks(engine) {
         doc.set(key, block);
     }
-    render(&doc.finish(conforms))
+    doc.render(conforms)
 }
 
 /// The full-typing document (`mode: "typing"`) of a completed
@@ -397,8 +657,10 @@ pub fn delta_report(
     skipped: usize,
     commit: impl FnOnce(),
 ) -> Result<RunReport, DeltaRunError> {
+    let mut doc = ReportDoc::new("delta", "derivative");
     let before_typing = engine.type_all_par(&ds.graph, &ds.pool, jobs);
-    let before = typing_doc(engine, &ds.graph, &ds.pool, &before_typing);
+    let mut before = doc.child("typing", "derivative");
+    push_typing_rows(&mut before, engine, &ds.graph, &ds.pool, &before_typing);
 
     let (plan, applied) = if jobs > 1 {
         let planner_engine = &*engine;
@@ -416,7 +678,8 @@ pub fn delta_report(
         .revalidate_par_planned(&ds.graph, &ds.pool, delta, plan, jobs)
         .map_err(DeltaRunError::Revalidate)?;
     commit();
-    let after = typing_doc(engine, &ds.graph, &ds.pool, &after_typing);
+    let mut after = doc.child("typing", "derivative");
+    push_typing_rows(&mut after, engine, &ds.graph, &ds.pool, &after_typing);
 
     let stats = engine.stats();
     let mut block = json!({
@@ -429,20 +692,12 @@ pub fn delta_report(
     if let (Some(file), Value::Object(m)) = (file, &mut block) {
         m.insert("file".to_string(), Value::from(file));
     }
-    let mut doc = ReportDoc::new("delta", "derivative");
     doc.set("delta", block);
-    doc.set("before", before);
-    doc.set("after", after);
+    doc.set_doc("before", before, Exit::of_typing(&before_typing).conforms());
     let exit = Exit::of_typing(&after_typing);
+    doc.set_doc("after", after, exit.conforms());
     Ok(RunReport {
         body: finish_engine_doc(doc, engine, skipped, exit.conforms()),
         exit,
     })
-}
-
-/// One unsealed `typing` sub-document (the halves of a delta report).
-fn typing_doc(engine: &mut Engine, graph: &Graph, pool: &TermPool, typing: &Typing) -> Value {
-    let mut doc = ReportDoc::new("typing", "derivative");
-    push_typing_rows(&mut doc, engine, graph, pool, typing);
-    doc.finish(Exit::of_typing(typing).conforms())
 }

@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 use shapex_rdf::pool::{TermId, TermPool};
 use shapex_shex::ast::ShapeLabel;
@@ -30,7 +31,7 @@ pub enum FailureKind {
     /// (SORBE fast path) an arc's triple count fell outside its interval.
     Cardinality {
         /// Rendered arc constraint, e.g. `name→string`.
-        arc: String,
+        arc: Arc<str>,
         /// How many triples matched the arc.
         found: u32,
         /// The arc's minimum.
@@ -46,28 +47,53 @@ pub enum FailureKind {
 pub struct Failure {
     /// What went wrong.
     pub kind: FailureKind,
-    /// The expression state *before* the failing step, rendered.
-    pub expectation: String,
+    /// The expression state *before* the failing step, rendered. Shared:
+    /// an engine renders each distinct expression state once, and every
+    /// failure that stopped there holds the same string.
+    pub expectation: Arc<str>,
 }
 
 impl Failure {
     /// Renders the failure with terms resolved against `pool`.
     pub fn render(&self, pool: &TermPool) -> String {
-        match &self.kind {
+        self.display(pool).to_string()
+    }
+
+    /// The failure with terms resolved against `pool`, as a `Display`, so
+    /// it can be written into a buffer without an intermediate string.
+    pub fn display<'a>(&'a self, pool: &'a TermPool) -> impl fmt::Display + 'a {
+        FailureDisplay {
+            failure: self,
+            pool,
+        }
+    }
+}
+
+struct FailureDisplay<'a> {
+    failure: &'a Failure,
+    pool: &'a TermPool,
+}
+
+impl fmt::Display for FailureDisplay<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pool = self.pool;
+        match &self.failure.kind {
             FailureKind::UnexpectedTriple {
                 subject,
                 predicate,
                 object,
-            } => format!(
+            } => write!(
+                f,
                 "triple {} {} {} does not match remaining expectation {}",
                 pool.term(*subject),
                 pool.term(*predicate),
                 pool.term(*object),
-                self.expectation
+                self.failure.expectation
             ),
-            FailureKind::MissingRequired => format!(
+            FailureKind::MissingRequired => write!(
+                f,
                 "node is missing required arcs; remaining expectation {} does not accept the empty graph",
-                self.expectation
+                self.failure.expectation
             ),
             FailureKind::Cardinality {
                 arc,
@@ -75,11 +101,11 @@ impl Failure {
                 min,
                 max,
             } => {
-                let bounds = match max {
-                    Some(max) => format!("between {min} and {max}"),
-                    None => format!("at least {min}"),
-                };
-                format!("arc {arc} occurs {found} times but must occur {bounds}")
+                write!(f, "arc {arc} occurs {found} times but must occur ")?;
+                match max {
+                    Some(max) => write!(f, "between {min} and {max}"),
+                    None => write!(f, "at least {min}"),
+                }
             }
         }
     }
@@ -416,7 +442,7 @@ mod tests {
                 predicate: p,
                 object: o,
             },
-            expectation: "a→1".to_string(),
+            expectation: "a→1".into(),
         };
         let msg = f.render(&pool);
         assert!(msg.contains("<http://e/p>"));
@@ -428,7 +454,7 @@ mod tests {
         let pool = TermPool::new();
         let f = Failure {
             kind: FailureKind::MissingRequired,
-            expectation: "b→{1,2}".to_string(),
+            expectation: "b→{1,2}".into(),
         };
         assert!(f.render(&pool).contains("missing required"));
     }

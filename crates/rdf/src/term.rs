@@ -32,17 +32,37 @@ impl fmt::Display for Iri {
     /// construction — are written back as UCHAR escapes, so serializing and
     /// re-parsing round-trips instead of producing a rejected document.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "<")?;
-        for ch in self.0.chars() {
-            match ch {
-                '\u{00}'..='\u{20}' | '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\' => {
-                    write!(f, "\\u{:04X}", ch as u32)?
-                }
-                c => write!(f, "{c}")?,
-            }
+        if !self.0.bytes().any(iri_needs_uchar) {
+            f.write_str("<")?;
+            f.write_str(&self.0)?;
+            return f.write_str(">");
         }
-        write!(f, ">")
+        fmt_iri_escaped(&self.0, f)
     }
+}
+
+/// Bytes the IRIREF production forbids raw. All are ASCII, so a scan over
+/// bytes finds exactly the characters [`fmt_iri_escaped`] rewrites.
+fn iri_needs_uchar(b: u8) -> bool {
+    matches!(
+        b,
+        0x00..=0x20 | b'<' | b'>' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\'
+    )
+}
+
+/// [`Iri`]'s `Display`, character by character: the path for IRIs that
+/// hold at least one character needing a UCHAR escape.
+fn fmt_iri_escaped(iri: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    write!(f, "<")?;
+    for ch in iri.chars() {
+        match ch {
+            '\u{00}'..='\u{20}' | '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\' => {
+                write!(f, "\\u{:04X}", ch as u32)?
+            }
+            c => write!(f, "{c}")?,
+        }
+    }
+    write!(f, ">")
 }
 
 impl From<&str> for Iri {
@@ -78,7 +98,8 @@ impl BlankNode {
 
 impl fmt::Display for BlankNode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "_:{}", self.0)
+        f.write_str("_:")?;
+        f.write_str(&self.0)
     }
 }
 
@@ -161,26 +182,46 @@ impl Literal {
 impl fmt::Display for Literal {
     /// Writes the literal in N-Triples syntax.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "\"")?;
-        for ch in self.lexical.chars() {
-            match ch {
-                '"' => write!(f, "\\\"")?,
-                '\\' => write!(f, "\\\\")?,
-                '\n' => write!(f, "\\n")?,
-                '\r' => write!(f, "\\r")?,
-                '\t' => write!(f, "\\t")?,
-                c => write!(f, "{c}")?,
-            }
+        if self.lexical.bytes().any(lexical_needs_escape) {
+            fmt_lexical_escaped(&self.lexical, f)?;
+        } else {
+            f.write_str("\"")?;
+            f.write_str(&self.lexical)?;
+            f.write_str("\"")?;
         }
-        write!(f, "\"")?;
         if let Some(lang) = &self.lang {
-            write!(f, "@{lang}")
+            f.write_str("@")?;
+            f.write_str(lang)
         } else if &*self.datatype != xsd::STRING {
-            write!(f, "^^<{}>", self.datatype)
+            f.write_str("^^<")?;
+            f.write_str(&self.datatype)?;
+            f.write_str(">")
         } else {
             Ok(())
         }
     }
+}
+
+/// Bytes an N-Triples string literal writes as an ECHAR escape.
+fn lexical_needs_escape(b: u8) -> bool {
+    matches!(b, b'"' | b'\\' | b'\n' | b'\r' | b'\t')
+}
+
+/// A literal's quoted lexical form, character by character: the path for
+/// lexical forms that hold at least one character needing an escape.
+fn fmt_lexical_escaped(lexical: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    write!(f, "\"")?;
+    for ch in lexical.chars() {
+        match ch {
+            '"' => write!(f, "\\\"")?,
+            '\\' => write!(f, "\\\\")?,
+            '\n' => write!(f, "\\n")?,
+            '\r' => write!(f, "\\r")?,
+            '\t' => write!(f, "\\t")?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    write!(f, "\"")
 }
 
 /// Any RDF term. The paper's vocabularies map as:
@@ -372,6 +413,64 @@ mod tests {
     fn literal_escapes_in_display() {
         let l = Literal::string("a\"b\\c\nd");
         assert_eq!(l.to_string(), "\"a\\\"b\\\\c\\nd\"");
+    }
+
+    /// Runs one of the per-character writers as a `Display`.
+    struct PerChar<'a>(&'a str, fn(&str, &mut fmt::Formatter<'_>) -> fmt::Result);
+
+    impl fmt::Display for PerChar<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            (self.1)(self.0, f)
+        }
+    }
+
+    /// One input per escape class of either writer, plus inputs that need
+    /// no escape at all (the fast path) and mixes of both.
+    const ESCAPE_CLASSES: &[&str] = &[
+        "",
+        "http://example.org/plain",
+        "Zürich — 日本 é😀",
+        "\u{00}",
+        "\u{01}\u{08}\u{0C}\u{1F}",
+        "a b",
+        "<>",
+        "say \"hi\"",
+        "{}|^`",
+        "back\\slash",
+        "line\none",
+        "cr\rlf\n",
+        "tab\tend",
+        "\u{7F}~",
+        "mixed ü \"q\" \\ \t ü",
+    ];
+
+    #[test]
+    fn iri_fast_path_matches_per_character_path() {
+        for s in ESCAPE_CLASSES {
+            assert_eq!(
+                Iri::new(*s).to_string(),
+                PerChar(s, fmt_iri_escaped).to_string(),
+                "{s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn literal_fast_path_matches_per_character_path() {
+        for s in ESCAPE_CLASSES {
+            let quoted = PerChar(s, fmt_lexical_escaped).to_string();
+            assert_eq!(Literal::string(*s).to_string(), quoted, "{s:?}");
+            assert_eq!(
+                Literal::lang_string(*s, "en-GB").to_string(),
+                format!("{quoted}@en-gb"),
+                "{s:?}"
+            );
+            assert_eq!(
+                Literal::typed(*s, "http://e/dt").to_string(),
+                format!("{quoted}^^<http://e/dt>"),
+                "{s:?}"
+            );
+        }
     }
 
     #[test]

@@ -407,7 +407,7 @@ proptest! {
         let m = engine.metrics().expect("always collected");
         for (name, c) in [
             ("profile_stable", &m.profile_stable),
-            ("profile_assumption", &m.profile_assumption),
+            ("profile_assumption", &m.profile_assumption()),
             ("dfa_table", &m.dfa_table),
         ] {
             prop_assert_eq!(

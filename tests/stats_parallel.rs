@@ -111,6 +111,7 @@ fn assert_totals_match_at(name: &str, budget: Budget, jobs: usize) {
             par.derivative_steps,
         ),
         ("deriv_memo_hits", seq.deriv_memo_hits, par.deriv_memo_hits),
+        ("triple_classes", seq.triple_classes, par.triple_classes),
         ("node_checks", seq.node_checks, par.node_checks),
         ("gfp_reruns", seq.gfp_reruns, par.gfp_reruns),
         ("sorbe_checks", seq.sorbe_checks, par.sorbe_checks),
@@ -139,8 +140,8 @@ fn assert_totals_match_at(name: &str, budget: Budget, jobs: usize) {
         ),
         (
             "profile_assumption.lookups",
-            seq_m.profile_assumption.lookups,
-            par_m.profile_assumption.lookups,
+            seq_m.profile_assumption().lookups,
+            par_m.profile_assumption().lookups,
         ),
         (
             "dfa_table.lookups",
@@ -168,7 +169,7 @@ fn assert_totals_match_at(name: &str, budget: Budget, jobs: usize) {
     );
     // The merged metrics obey the cache invariant on both sides.
     for m in [&seq_m, &par_m] {
-        for c in [&m.profile_stable, &m.profile_assumption, &m.dfa_table] {
+        for c in [&m.profile_stable, &m.profile_assumption(), &m.dfa_table] {
             assert_eq!(
                 c.lookups,
                 c.hits + c.misses,
@@ -301,6 +302,63 @@ fn hub_typing_jobs_and_scheduler_invariant() {
             Engine::compile(&schema, &mut ds.pool, EngineConfig::default()).expect("compiles");
         let typing = par.type_all_par(&ds.graph, &ds.pool, jobs);
         assert_eq!(typing, reference, "typing diverged at jobs={jobs}");
+        assert_eq!(
+            par.stats().triple_classes,
+            seq.stats().triple_classes,
+            "triple classes diverged at jobs={jobs}"
+        );
+    }
+}
+
+#[test]
+fn triple_classes_count_the_union_over_workers() {
+    // Each parallel worker interns its own class table; the run's
+    // `triple_classes` must count every distinct (shape, class) once, as
+    // the sequential run does — not once per worker that met it. Checked
+    // on a reference-free workload, on a recursive network (unbudgeted),
+    // and again after a second run on the same engine, which must not
+    // count the classes its fresh workers re-intern.
+    fn flat() -> shapex_workloads::Workload {
+        shapex_workloads::flat_person_records(400, 3)
+    }
+    fn network() -> shapex_workloads::Workload {
+        shapex_workloads::person_network(
+            200,
+            shapex_workloads::Topology::Random { degree: 2 },
+            0.2,
+            5,
+        )
+    }
+    type Make = fn() -> shapex_workloads::Workload;
+    for (name, make) in [("flat records", flat as Make), ("network", network)] {
+        let schema = shexc::parse(&make().schema).expect("schema parses");
+        let classes = |jobs: usize| {
+            let mut ds = make().dataset;
+            // `no_sorbe`: the counting fast path interns no classes.
+            let config = EngineConfig {
+                no_sorbe: true,
+                ..EngineConfig::default()
+            };
+            let mut engine = Engine::compile(&schema, &mut ds.pool, config).expect("compiles");
+            engine.type_all_par(&ds.graph, &ds.pool, jobs);
+            let first = engine.stats().triple_classes;
+            engine.type_all_par(&ds.graph, &ds.pool, jobs);
+            assert_eq!(
+                engine.stats().triple_classes,
+                first,
+                "{name}: a second run re-counted classes at jobs={jobs}"
+            );
+            first
+        };
+        let sequential = classes(1);
+        assert!(sequential > 0, "{name}: no class interned");
+        for jobs in [2, 4] {
+            assert_eq!(
+                classes(jobs),
+                sequential,
+                "{name}: triple_classes differs between jobs=1 and jobs={jobs}"
+            );
+        }
     }
 }
 
