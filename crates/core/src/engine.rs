@@ -761,11 +761,11 @@ impl Engine {
     /// The fully-memoised answer for a pair, if any. Exhausted checks are
     /// never memoised — they stay retryable under a larger budget.
     fn memoised_answer(&self, node: TermId, shape: ShapeId) -> Option<Outcome> {
+        if let Some(failure) = self.failed_verdict(node, shape) {
+            return Some(Outcome::Fails(failure.cloned()));
+        }
         match self.memo.get(&(shape, node)) {
             Some(MemoState::Proven) => Some(Outcome::Conforms),
-            Some(MemoState::Failed) => {
-                Some(Outcome::Fails(self.failures.get(&(shape, node)).cloned()))
-            }
             _ => None,
         }
     }
@@ -775,7 +775,7 @@ impl Engine {
     /// absent), `None` for any other memo state. The report writer reads
     /// failures through this instead of cloning them out of
     /// [`Engine::check_id`].
-    pub fn failed_verdict(&self, node: TermId, shape: ShapeId) -> Option<Option<&Failure>> {
+    pub(crate) fn failed_verdict(&self, node: TermId, shape: ShapeId) -> Option<Option<&Failure>> {
         match self.memo.get(&(shape, node)) {
             Some(MemoState::Failed) => Some(self.failures.get(&(shape, node))),
             _ => None,

@@ -14,9 +14,10 @@
 //! Verdict rows — the bulk of a large report — skip `Value` altogether:
 //! [`ReportDoc`] writes them straight to bytes.
 
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 
 use rustc_hash::FxHashMap;
+use serde_json::pretty::{self, close, open_item, open_member, Escaped};
 use serde_json::{json, Map, Value};
 
 use shapex_rdf::graph::{Dataset, Graph};
@@ -168,7 +169,8 @@ pub fn trace_json(t: &Trace, pool: &TermPool) -> Value {
 ///
 /// Rows are written straight into the two arrays, in exactly the bytes the
 /// vendored `serde_json` pretty printer would give the same rows inside the
-/// sealed document: keys sorted, two-space indent, its string escaping.
+/// sealed document: keys sorted, written with that printer's own layout
+/// pieces (`serde_json::pretty`) at the indent they will sit at.
 /// Only the small skeleton — the counter blocks, the `delta` block and the
 /// other top-level keys — goes through `Value`; [`ReportDoc::render`]
 /// splices the arrays in at their indent. The layout contract is
@@ -210,7 +212,7 @@ impl ReportDoc {
     /// A fresh skeleton for a sub-document that [`ReportDoc::set_doc`]
     /// will nest under a key of this one.
     pub fn child(&self, mode: &str, engine: &str) -> Self {
-        Self::at(mode, engine, self.indent + 2)
+        Self::at(mode, engine, self.indent + pretty::STEP)
     }
 
     /// Sets a top-level key.
@@ -218,10 +220,19 @@ impl ReportDoc {
         self.root.insert(key.to_string(), value);
     }
 
-    /// Seals `doc` (made by [`ReportDoc::child`]) with its overall verdict
-    /// and nests it under `key`.
+    /// Seals `doc` with its overall verdict and nests it under `key`.
+    ///
+    /// # Panics
+    ///
+    /// If `doc` was not made by this document's [`ReportDoc::child`]: its
+    /// rows are written at the indent they will sit at, so a document made
+    /// at another level would break the layout.
     pub fn set_doc(&mut self, key: &str, mut doc: ReportDoc, conforms: Option<bool>) {
-        debug_assert_eq!(doc.indent, self.indent + 2, "sub-document made by child()");
+        assert_eq!(
+            doc.indent,
+            self.indent + pretty::STEP,
+            "sub-document made by child()"
+        );
         doc.seal(conforms);
         self.root.insert(key.to_string(), Value::Null);
         self.docs.retain(|(k, _)| k != key);
@@ -230,9 +241,10 @@ impl ReportDoc {
 
     /// Appends one verdict row (see [`result_json`]).
     pub fn push_result(&mut self, row: Value) {
-        let indent = self.indent + 4;
-        open_item(&mut self.results, indent);
-        write_value(&mut self.results, &row, indent);
+        let indent = self.indent + 2 * pretty::STEP;
+        let first = self.results.is_empty();
+        open_item(&mut self.results, first, indent);
+        pretty::value(&mut self.results, &row, indent);
     }
 
     /// Appends one row to the document-level `exhausted` array.
@@ -242,17 +254,16 @@ impl ReportDoc {
 
     /// One `exhausted` item; `node` and `shape` are JSON strings, quoted.
     fn exhausted_row(&mut self, node: &str, shape: &str, e: &Exhaustion) {
-        let indent = self.indent + 4;
+        let indent = self.indent + 2 * pretty::STEP;
+        let members = indent + pretty::STEP;
         let out = &mut self.exhausted;
-        open_item(out, indent);
+        open_item(out, out.is_empty(), indent);
         out.push('{');
-        open_key(out, indent + 2, "exhaustion");
-        write_value(out, &exhaustion_json(e), indent + 2);
-        out.push(',');
-        open_key(out, indent + 2, "node");
+        open_member(out, true, members, "exhaustion");
+        pretty::value(out, &exhaustion_json(e), members);
+        open_member(out, false, members, "node");
         out.push_str(node);
-        out.push(',');
-        open_key(out, indent + 2, "shape");
+        open_member(out, false, members, "shape");
         out.push_str(shape);
         close(out, indent, '}');
     }
@@ -268,32 +279,31 @@ impl ReportDoc {
         failure: Option<(&Failure, &TermPool)>,
         exhaustion: Option<&Exhaustion>,
     ) {
-        let indent = self.indent + 4;
+        let indent = self.indent + 2 * pretty::STEP;
+        let members = indent + pretty::STEP;
         let out = &mut self.results;
-        open_item(out, indent);
+        open_item(out, out.is_empty(), indent);
         out.push('{');
+        let mut first = true;
         if let Some(e) = exhaustion {
-            open_key(out, indent + 2, "exhaustion");
-            write_value(out, &exhaustion_json(e), indent + 2);
-            out.push(',');
+            open_member(out, first, members, "exhaustion");
+            pretty::value(out, &exhaustion_json(e), members);
+            first = false;
         }
         if let Some((f, pool)) = failure {
-            open_key(out, indent + 2, "failure");
+            open_member(out, first, members, "failure");
             out.push('"');
             // Writing into a `String` cannot fail.
-            let _ = write!(JsonEscaped(out), "{}", f.display(pool));
-            out.push_str("\",");
+            let _ = write!(Escaped(out), "{}", f.display(pool));
+            out.push('"');
+            first = false;
         }
-        open_key(out, indent + 2, "node");
+        open_member(out, first, members, "node");
         out.push_str(node);
-        out.push(',');
-        open_key(out, indent + 2, "shape");
+        open_member(out, false, members, "shape");
         out.push_str(shape);
-        out.push(',');
-        open_key(out, indent + 2, "verdict");
-        out.push('"');
-        out.push_str(verdict);
-        out.push('"');
+        open_member(out, false, members, "verdict");
+        pretty::string(out, verdict);
         close(out, indent, '}');
     }
 
@@ -324,23 +334,20 @@ impl ReportDoc {
     /// Writes a sealed document as a pretty-printed object whose braces sit
     /// at `self.indent`.
     fn write_sealed(&self, out: &mut String) {
-        let indent = self.indent;
+        let members = self.indent + pretty::STEP;
         out.push('{');
         for (i, (key, value)) in self.root.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            open_key(out, indent + 2, key);
+            open_member(out, i == 0, members, key);
             match key.as_str() {
-                "results" => write_items(out, &self.results, indent + 2),
-                "exhausted" => write_items(out, &self.exhausted, indent + 2),
+                "results" => write_items(out, &self.results, members),
+                "exhausted" => write_items(out, &self.exhausted, members),
                 _ => match self.docs.iter().find(|(k, _)| k == key) {
                     Some((_, doc)) => doc.write_sealed(out),
-                    None => write_value(out, value, indent + 2),
+                    None => pretty::value(out, value, members),
                 },
             }
         }
-        close(out, indent, '}');
+        close(out, self.indent, '}');
     }
 
     /// Seals the document as a `Value`, for callers that nest documents by
@@ -364,84 +371,14 @@ impl ReportDoc {
     }
 }
 
-/// A `fmt::Write` that appends to a `String` in the escaping of the
-/// vendored `serde_json`: `\"`, `\\`, `\n`, `\r`, `\t`, `\b`, `\f`, other
-/// controls as lowercase `\u00xx`, everything else (non-ASCII included)
-/// as is.
-struct JsonEscaped<'a>(&'a mut String);
-
-impl fmt::Write for JsonEscaped<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        const HEX: &[u8; 16] = b"0123456789abcdef";
-        let out = &mut *self.0;
-        let mut start = 0;
-        for (i, &b) in s.as_bytes().iter().enumerate() {
-            let escape = match b {
-                b'"' => "\\\"",
-                b'\\' => "\\\\",
-                b'\n' => "\\n",
-                b'\r' => "\\r",
-                b'\t' => "\\t",
-                0x08 => "\\b",
-                0x0C => "\\f",
-                0x00..=0x1F => "",
-                _ => continue,
-            };
-            // Every escaped byte is ASCII, so `i` is a char boundary.
-            out.push_str(&s[start..i]);
-            if escape.is_empty() {
-                out.push_str("\\u00");
-                out.push(HEX[usize::from(b >> 4)] as char);
-                out.push(HEX[usize::from(b & 0xF)] as char);
-            } else {
-                out.push_str(escape);
-            }
-            start = i + 1;
-        }
-        out.push_str(&s[start..]);
-        Ok(())
-    }
-}
-
 /// `s` as a quoted JSON string.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    let _ = JsonEscaped(&mut out).write_str(s);
-    out.push('"');
+    pretty::string(&mut out, s);
     out
 }
 
-fn push_indent(out: &mut String, indent: usize) {
-    out.extend(std::iter::repeat_n(' ', indent));
-}
-
-/// Starts an array item at `indent`: separator, line break, indent.
-fn open_item(items: &mut String, indent: usize) {
-    if !items.is_empty() {
-        items.push(',');
-    }
-    items.push('\n');
-    push_indent(items, indent);
-}
-
-/// Starts an object member at `indent`, up to and including `": "`.
-fn open_key(out: &mut String, indent: usize, key: &str) {
-    out.push('\n');
-    push_indent(out, indent);
-    out.push('"');
-    let _ = JsonEscaped(out).write_str(key);
-    out.push_str("\": ");
-}
-
-/// Closes a non-empty object or array whose bracket sits at `indent`.
-fn close(out: &mut String, indent: usize, bracket: char) {
-    out.push('\n');
-    push_indent(out, indent);
-    out.push(bracket);
-}
-
-/// Writes the array of `items` (see [`open_item`]) whose brackets sit at
+/// Writes the array of `items` (see [`ReportDoc`]) whose brackets sit at
 /// `indent`.
 fn write_items(out: &mut String, items: &str, indent: usize) {
     if items.is_empty() {
@@ -450,21 +387,6 @@ fn write_items(out: &mut String, items: &str, indent: usize) {
         out.push('[');
         out.push_str(items);
         close(out, indent, ']');
-    }
-}
-
-/// Writes `v` pretty-printed as if it were nested at `indent`. The pretty
-/// printer breaks lines only between members and items — never inside a
-/// string, whose line breaks it escapes — so indenting every line of the
-/// top-level rendering is exact.
-fn write_value(out: &mut String, v: &Value, indent: usize) {
-    let text = serde_json::to_string_pretty(v).expect("report values contain no NaN");
-    let mut lines = text.split('\n');
-    out.push_str(lines.next().unwrap_or_default());
-    for line in lines {
-        out.push('\n');
-        push_indent(out, indent);
-        out.push_str(line);
     }
 }
 
@@ -497,7 +419,7 @@ pub fn push_typing_rows(
     for node in graph.subjects() {
         node_name.clear();
         node_name.push('"');
-        let _ = write!(JsonEscaped(&mut node_name), "{}", pool.term(node));
+        let _ = write!(Escaped(&mut node_name), "{}", pool.term(node));
         node_name.push('"');
         for (i, shape_name) in shapes.iter().enumerate() {
             let shape = ShapeId(i as u32);

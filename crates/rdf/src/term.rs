@@ -32,37 +32,44 @@ impl fmt::Display for Iri {
     /// construction — are written back as UCHAR escapes, so serializing and
     /// re-parsing round-trips instead of producing a rejected document.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.0.bytes().any(iri_needs_uchar) {
-            f.write_str("<")?;
-            f.write_str(&self.0)?;
-            return f.write_str(">");
-        }
-        fmt_iri_escaped(&self.0, f)
+        f.write_str("<")?;
+        write_escaped(f, &self.0, |b| {
+            matches!(
+                b,
+                0x00..=0x20 | b'<' | b'>' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\'
+            )
+            .then_some(Uchar(b))
+        })?;
+        f.write_str(">")
     }
 }
 
-/// Bytes the IRIREF production forbids raw. All are ASCII, so a scan over
-/// bytes finds exactly the characters [`fmt_iri_escaped`] rewrites.
-fn iri_needs_uchar(b: u8) -> bool {
-    matches!(
-        b,
-        0x00..=0x20 | b'<' | b'>' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\'
-    )
+/// A byte written as an N-Triples UCHAR escape, `\uXXXX`.
+struct Uchar(u8);
+
+impl fmt::Display for Uchar {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "\\u{:04X}", self.0)
+    }
 }
 
-/// [`Iri`]'s `Display`, character by character: the path for IRIs that
-/// hold at least one character needing a UCHAR escape.
-fn fmt_iri_escaped(iri: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    write!(f, "<")?;
-    for ch in iri.chars() {
-        match ch {
-            '\u{00}'..='\u{20}' | '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\' => {
-                write!(f, "\\u{:04X}", ch as u32)?
-            }
-            c => write!(f, "{c}")?,
+/// Writes `s`, copying each run of bytes that `escape` maps to `None` with
+/// one `write_str` and writing the escape it gives for every other byte.
+/// `escape` may map only ASCII bytes, so every run is whole characters.
+fn write_escaped<E: fmt::Display>(
+    f: &mut fmt::Formatter<'_>,
+    s: &str,
+    escape: impl Fn(u8) -> Option<E>,
+) -> fmt::Result {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(e) = escape(b) {
+            f.write_str(&s[start..i])?;
+            write!(f, "{e}")?;
+            start = i + 1;
         }
     }
-    write!(f, ">")
+    f.write_str(&s[start..])
 }
 
 impl From<&str> for Iri {
@@ -182,13 +189,16 @@ impl Literal {
 impl fmt::Display for Literal {
     /// Writes the literal in N-Triples syntax.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.lexical.bytes().any(lexical_needs_escape) {
-            fmt_lexical_escaped(&self.lexical, f)?;
-        } else {
-            f.write_str("\"")?;
-            f.write_str(&self.lexical)?;
-            f.write_str("\"")?;
-        }
+        f.write_str("\"")?;
+        write_escaped(f, &self.lexical, |b| match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            _ => None,
+        })?;
+        f.write_str("\"")?;
         if let Some(lang) = &self.lang {
             f.write_str("@")?;
             f.write_str(lang)
@@ -200,28 +210,6 @@ impl fmt::Display for Literal {
             Ok(())
         }
     }
-}
-
-/// Bytes an N-Triples string literal writes as an ECHAR escape.
-fn lexical_needs_escape(b: u8) -> bool {
-    matches!(b, b'"' | b'\\' | b'\n' | b'\r' | b'\t')
-}
-
-/// A literal's quoted lexical form, character by character: the path for
-/// lexical forms that hold at least one character needing an escape.
-fn fmt_lexical_escaped(lexical: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    write!(f, "\"")?;
-    for ch in lexical.chars() {
-        match ch {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    write!(f, "\"")
 }
 
 /// Any RDF term. The paper's vocabularies map as:
@@ -415,62 +403,30 @@ mod tests {
         assert_eq!(l.to_string(), "\"a\\\"b\\\\c\\nd\"");
     }
 
-    /// Runs one of the per-character writers as a `Display`.
-    struct PerChar<'a>(&'a str, fn(&str, &mut fmt::Formatter<'_>) -> fmt::Result);
-
-    impl fmt::Display for PerChar<'_> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            (self.1)(self.0, f)
-        }
-    }
-
-    /// One input per escape class of either writer, plus inputs that need
-    /// no escape at all (the fast path) and mixes of both.
-    const ESCAPE_CLASSES: &[&str] = &[
-        "",
-        "http://example.org/plain",
-        "Zürich — 日本 é😀",
-        "\u{00}",
-        "\u{01}\u{08}\u{0C}\u{1F}",
-        "a b",
-        "<>",
-        "say \"hi\"",
-        "{}|^`",
-        "back\\slash",
-        "line\none",
-        "cr\rlf\n",
-        "tab\tend",
-        "\u{7F}~",
-        "mixed ü \"q\" \\ \t ü",
-    ];
-
     #[test]
-    fn iri_fast_path_matches_per_character_path() {
-        for s in ESCAPE_CLASSES {
-            assert_eq!(
-                Iri::new(*s).to_string(),
-                PerChar(s, fmt_iri_escaped).to_string(),
-                "{s:?}"
-            );
+    fn iri_display_writes_forbidden_characters_as_uchar() {
+        for (iri, shown) in [
+            ("http://e/Zürich—日本😀", "<http://e/Zürich—日本😀>"),
+            ("\u{00}\u{1F} x", "<\\u0000\\u001F\\u0020x>"),
+            (
+                "<>\"{}|^`\\",
+                "<\\u003C\\u003E\\u0022\\u007B\\u007D\\u007C\\u005E\\u0060\\u005C>",
+            ),
+            ("a\u{7F}~é\tb", "<a\u{7F}~é\\u0009b>"),
+        ] {
+            assert_eq!(Iri::new(iri).to_string(), shown, "{iri:?}");
         }
     }
 
     #[test]
-    fn literal_fast_path_matches_per_character_path() {
-        for s in ESCAPE_CLASSES {
-            let quoted = PerChar(s, fmt_lexical_escaped).to_string();
-            assert_eq!(Literal::string(*s).to_string(), quoted, "{s:?}");
-            assert_eq!(
-                Literal::lang_string(*s, "en-GB").to_string(),
-                format!("{quoted}@en-gb"),
-                "{s:?}"
-            );
-            assert_eq!(
-                Literal::typed(*s, "http://e/dt").to_string(),
-                format!("{quoted}^^<http://e/dt>"),
-                "{s:?}"
-            );
-        }
+    fn literal_display_escapes_every_echar_class() {
+        let l = Literal::lang_string("é \"q\" \\ \n\r\t\u{01}\u{7F}", "en-GB");
+        assert_eq!(
+            l.to_string(),
+            "\"é \\\"q\\\" \\\\ \\n\\r\\t\u{01}\u{7F}\"@en-gb"
+        );
+        let l = Literal::typed("tab\tend", "http://e/dt");
+        assert_eq!(l.to_string(), "\"tab\\tend\"^^<http://e/dt>");
     }
 
     #[test]
